@@ -19,7 +19,8 @@ import numpy as np
 
 from .increments import compute_increments, tree_information, write_increments_csv
 from .pareto import DEFAULT_EPS_STEP, trace_pareto, write_pareto_csv
-from .quadtree import candidate_at, is_valid_selection, read_tree_json, write_tree_json
+from .quadtree import (MalformedTreeDocument, candidate_at, is_valid_selection,
+                       read_tree_json, write_tree_json)
 from .relaxation import round_selection, solve_lp_relaxation
 from .solver import (
     DEFAULT_NODE_LIMIT,
@@ -159,7 +160,7 @@ def cmd_relax(args) -> int:
 def cmd_validate(args) -> int:
     try:
         selection, doc = read_tree_json(args.tree)
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, MalformedTreeDocument) as exc:
         print(f"error: malformed tree document: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

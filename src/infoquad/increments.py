@@ -104,11 +104,6 @@ def node_delta_y(parent: NodeStats, children) -> float:
     return parent.mass * js_divergence(weights, dists)
 
 
-def _neg_plogp(v: np.ndarray) -> np.ndarray:
-    pos = v > 0
-    return -np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0)
-
-
 def _weighted_entropy(joint: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """g = -sum_y p(t,y) ln(p(t,y)/p(t)) = p(t) H(p(y|t)), zero at zero mass.
 

@@ -16,6 +16,7 @@ children of candidate i are candidates 4i+1 .. 4i+4 (when they exist).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "tree_to_json",
     "write_tree_json",
     "read_tree_json",
+    "MalformedTreeDocument",
 ]
 
 
@@ -280,15 +282,45 @@ def write_tree_json(path, selection: TreeSelection, i_x_nats: float, i_y_nats: f
         fh.write("\n")
 
 
+class MalformedTreeDocument(ValueError):
+    """A tree document whose JSON shape is not the one write_tree_json writes."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_node_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair)) for pair in value
+    )
+
+
+_TREE_FIELDS = (("depth_l", _is_int), ("selected", _is_node_list), ("leaf_count", _is_int),
+                ("i_x_nats", _is_finite), ("i_y_nats", _is_finite))
+
+
 def read_tree_json(path) -> tuple[TreeSelection, dict]:
-    """Load and validate a tree document; rejects invalid selections."""
+    """Load and validate a tree document; rejects invalid selections.
+
+    A document of the wrong shape raises MalformedTreeDocument, a subclass of
+    the ValueError raised for a well-formed one that is not a valid tree.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    for key in ("depth_l", "selected", "leaf_count", "i_x_nats", "i_y_nats"):
+    if not isinstance(doc, dict):
+        raise MalformedTreeDocument("tree document is not a JSON object")
+    for key, well_formed in _TREE_FIELDS:
         if key not in doc:
-            raise ValueError(f"tree document missing key {key!r}")
-    depth_l = int(doc["depth_l"])
-    nodes = [NodeId(int(d), int(m)) for d, m in doc["selected"]]
+            raise MalformedTreeDocument(f"tree document missing key {key!r}")
+        if not well_formed(doc[key]):
+            raise MalformedTreeDocument(f"tree document has a malformed {key!r}")
+    depth_l = doc["depth_l"]
+    nodes = [NodeId(d, m) for d, m in doc["selected"]]
     selection = selection_from_nodes(depth_l, nodes)
     if not is_valid_selection(selection, depth_l):
         bad = _first_violation(selection.z, depth_l)
@@ -297,7 +329,7 @@ def read_tree_json(path) -> tuple[TreeSelection, dict]:
             f"(depth={bad[1].depth}, morton={bad[1].morton}) selected without its "
             f"parent (depth={bad[0].depth}, morton={bad[0].morton})"
         )
-    if int(doc["leaf_count"]) != selection.leaf_count:
+    if doc["leaf_count"] != selection.leaf_count:
         raise ValueError(
             f"tree document leaf_count {doc['leaf_count']} does not match "
             f"selection ({selection.leaf_count})"

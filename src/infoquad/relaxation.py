@@ -1,33 +1,25 @@
 """LP relaxation of the min-rate program and threshold rounding back to a tree.
 
-Dropping the integrality constraint leaves a linear program over the box with
-one relevance row and one precedence row per parent/child candidate pair.  It
-is solved with HiGHS dual simplex (an exact basis-seeking method, so the
-returned point is a vertex and the objective is a true lower bound on the
-integer optimum).  Thresholding a precedence-feasible fractional vector always
-yields a valid tree because the threshold map is monotone; what it does not
-guarantee is that the rounded tree still meets the relevance floor, which is
-why relax_and_round reports a flag instead of failing.
+Over the integral tree-validity polytope the Lagrangian dual of the one
+relevance row is exact.  For a multiplier lam each ancestor-closed subtree Z
+gives the dual line lam * (d_hat - Z.delta_y) + Z.delta_x; the breakpoints of
+their lower envelope are the generalized BFOS pruning sequence (Chou,
+Lookabaugh & Gray, IEEE Trans. IT 1989).  Newton steps on that envelope find
+the optimum: the convex combination of two nested subtrees on the floor.
+Thresholding such a precedence-feasible vector always yields a valid tree, but
+not always one that still meets the floor, so relax_and_round reports a flag.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
-from .increments import IncrementVectors, tree_information
-from .quadtree import (
-    TreeSelection,
-    depth_from_candidate_count,
-    depth_offset,
-    num_candidates,
-)
-from .solver import TOL, SolveResult, _result_from_z, _MIN_RATE
+from .increments import IncrementVectors
+from .quadtree import TreeSelection, depth_from_candidate_count, depth_offset
+from .solver import TOL, SolveResult, _closure_best, _closure_mask, _result_from_z, _MIN_RATE
 
 __all__ = [
     "FractionalSelection",
@@ -37,6 +29,10 @@ __all__ = [
 ]
 
 _PRECEDENCE_SLACK = 1e-9
+# rounding slack: a sum just under the floor meets it, and subtrees tied at the
+# optimal multiplier would otherwise make the Newton steps cycle
+_FLOOR_SLACK = 1e-12    # relative to the total relevance
+_DUAL_SLACK = 1e-14     # relative to the magnitude of a dual line
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,14 +43,12 @@ class FractionalSelection:
 
     def __post_init__(self):
         z = np.ascontiguousarray(self.z, dtype=np.float64)
-        depth_l = depth_from_candidate_count(z.size)
+        depth_from_candidate_count(z.size)
         if np.any(z < -_PRECEDENCE_SLACK) or np.any(z > 1.0 + _PRECEDENCE_SLACK):
             raise ValueError("fractional entries must lie in [0, 1] up to 1e-9")
-        for d in range(1, depth_l):
-            parents = z[depth_offset(d - 1):depth_offset(d)]
-            children = z[depth_offset(d):depth_offset(d + 1)]
-            if np.any(children > np.repeat(parents, 4) + _PRECEDENCE_SLACK):
-                raise ValueError("fractional selection violates precedence beyond 1e-9")
+        children = np.arange(1, z.size)  # parent of candidate i is (i - 1) // 4
+        if np.any(z[children] > z[(children - 1) // 4] + _PRECEDENCE_SLACK):
+            raise ValueError("fractional selection violates precedence beyond 1e-9")
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
 
@@ -68,30 +62,8 @@ class FractionalSelection:
         return np.clip(self.z, 0.0, 1.0)
 
 
-@lru_cache(maxsize=8)
-def _precedence_matrix(depth_l: int):
-    """Sparse rows z_child - z_parent <= 0 for every parent/child candidate pair."""
-    n = num_candidates(depth_l)
-    parents = np.arange(num_candidates(depth_l - 1)) if depth_l >= 2 else np.arange(0)
-    rows = []
-    cols = []
-    data = []
-    for k in range(4):
-        children = 4 * parents + 1 + k
-        base = 4 * parents + k
-        rows.extend([base, base])
-        cols.extend([children, parents])
-        data.extend([np.ones(parents.size), -np.ones(parents.size)])
-    if parents.size:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data)
-        return sp.csr_matrix((data, (rows, cols)), shape=(4 * parents.size, n))
-    return sp.csr_matrix((0, n))
-
-
 def solve_lp_relaxation(inc: IncrementVectors, d_hat: float) -> tuple[FractionalSelection, float]:
-    """Optimal vertex of the relaxed min-rate program and its objective value."""
+    """Optimal point of the relaxed min-rate program and its objective value."""
     if d_hat < 0:
         raise ValueError(f"negative d_hat: {d_hat}")
     total = float(inc.delta_y.sum())
@@ -100,33 +72,32 @@ def solve_lp_relaxation(inc: IncrementVectors, d_hat: float) -> tuple[Fractional
             f"infeasible d_hat: {d_hat!r} exceeds total relevance {total!r}"
         )
     n = inc.num_candidates
-    if n == 0:
-        return FractionalSelection(np.zeros(0)), 0.0
+    d_hat = min(d_hat, total)
+    slack = _FLOOR_SLACK * max(total, 1.0)
+    if n == 0 or d_hat <= slack:
+        return FractionalSelection(np.zeros(n)), 0.0
     depth_l = depth_from_candidate_count(n)
-    prec = _precedence_matrix(depth_l)
-    a_ub = sp.vstack([sp.csr_matrix(-inc.delta_y[None, :]), prec], format="csr")
-    b_ub = np.zeros(a_ub.shape[0])
-    b_ub[0] = -d_hat
-    res = linprog(
-        inc.delta_x, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs-ds",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"LP solve failed with status {res.status}: {res.message}")
-    x = np.asarray(res.x, dtype=np.float64)
-    # the simplex basis solution can stray from the box and the precedence
-    # rows by its own feasibility tolerance; snap it back onto the vertex
-    if np.any(x < -1e-6) or np.any(x > 1.0 + 1e-6):
-        raise RuntimeError("LP solution violates box bounds beyond solver tolerance")
-    x = np.clip(x, 0.0, 1.0)
-    for d in range(1, depth_l):
-        parents = x[depth_offset(d - 1):depth_offset(d)]
-        lo, hi = depth_offset(d), depth_offset(d + 1)
-        if np.any(x[lo:hi] > np.repeat(parents, 4) + 1e-6):
-            raise RuntimeError(
-                "LP solution violates precedence beyond solver tolerance"
-            )
-        x[lo:hi] = np.minimum(x[lo:hi], np.repeat(parents, 4))
-    return FractionalSelection(x), float(res.fun)
+    # bracket subtrees: lo misses the floor, hi meets it.  Step to where their
+    # dual lines cross; stop once no subtree there lies below them.
+    lo, hi = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    x_lo, y_lo, x_hi, y_hi = 0.0, 0.0, float(inc.delta_x.sum()), total
+    for _ in range(n + 2):
+        lam = (x_hi - x_lo) / (y_hi - y_lo)
+        bound = lam * (d_hat - y_lo) + x_lo
+        best = _closure_best(inc.delta_x - lam * inc.delta_y, depth_l, -1)
+        mask = _closure_mask(best, depth_l, -1)
+        x_c, y_c = float(inc.delta_x[mask].sum()), float(inc.delta_y[mask].sum())
+        if lam * (d_hat - y_c) + x_c >= bound - _DUAL_SLACK * (1.0 + x_hi + lam * y_hi):
+            break
+        if y_c >= d_hat - slack:
+            hi, x_hi, y_hi = mask, x_c, y_c
+        else:
+            lo, x_lo, y_lo = mask, x_c, y_c
+    else:
+        raise RuntimeError("parametric closure did not converge")
+    theta = min(max((d_hat - y_lo) / (y_hi - y_lo), 0.0), 1.0)
+    z = lo + theta * (hi.astype(np.float64) - lo)
+    return FractionalSelection(z), float(inc.delta_x @ z)
 
 
 def round_selection(zfrac: FractionalSelection, delta: float) -> TreeSelection:
@@ -159,5 +130,4 @@ def relax_and_round(inc: IncrementVectors, d_hat: float,
     zfrac, _ = solve_lp_relaxation(inc, d_hat)
     selection = round_selection(zfrac, delta)
     result = _result_from_z(selection.z, inc, _MIN_RATE, 0, t0)
-    _, i_y = tree_information(selection, inc)
-    return result, bool(i_y >= d_hat - TOL)
+    return result, bool(result.i_y >= d_hat - TOL)

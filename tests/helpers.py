@@ -1,6 +1,7 @@
 """Shared world builders and random generators for the test suite."""
 
 import numpy as np
+import pytest
 
 import infoquad as iq
 
@@ -64,6 +65,39 @@ def random_monotone_fractional(rng, depth_l):
         scale = rng.random(4 ** d)
         z[depth_offset(d):depth_offset(d + 1)] = np.repeat(parents, 4) * scale
     return z
+
+
+def reference_lp_objective(inc, d_hat):
+    """Relaxed min-rate optimum from a general LP solver, for cross-checks.
+
+    One relevance row plus one precedence row z_child - z_parent <= 0 per
+    parent/child candidate pair, solved by HiGHS dual simplex; skips the
+    calling test when scipy is missing.  At the full floor HiGHS can call the
+    relevance row infeasible by rounding, so there the row is replaced by its
+    exact equivalent: every candidate with delta_y > 0 is fixed to 1.
+    """
+    sp = pytest.importorskip("scipy.sparse")
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n = inc.num_candidates
+    children = np.arange(1, n)
+    parents = (children - 1) // 4
+    rows = np.arange(children.size)
+    prec = sp.csr_matrix(
+        (np.concatenate([np.ones(rows.size), -np.ones(rows.size)]),
+         (np.concatenate([rows, rows]), np.concatenate([children, parents]))),
+        shape=(rows.size, n),
+    )
+    a_ub = sp.vstack([sp.csr_matrix(-inc.delta_y[None, :]), prec], format="csr")
+    b_ub = np.zeros(a_ub.shape[0])
+    lower = np.zeros(n)
+    if d_hat >= float(inc.delta_y.sum()):
+        lower[inc.delta_y > 0] = 1.0
+    else:
+        b_ub[0] = -d_hat
+    res = linprog(inc.delta_x, A_ub=a_ub, b_ub=b_ub,
+                  bounds=np.column_stack([lower, np.ones(n)]), method="highs-ds")
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 def write_text(path, text):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,10 +242,34 @@ def test_validate_stale_information_exits_one(quad_pgm, tmp_path, capsys):
     assert "recomputed" in capsys.readouterr().err
 
 
-def test_validate_malformed_json_exits_two(quad_pgm, tmp_path):
+_TREE_FIELDS = b'"depth_l": 2, "leaf_count": 4, "i_x_nats": 0.0, "i_y_nats": 0.0'
+
+
+@pytest.mark.parametrize("text", [
+    b"{not json",
+    b'{"selected": 5, ' + _TREE_FIELDS + b'}',
+    b"5",
+    b'{"selected": [[0, 0, 7]], ' + _TREE_FIELDS + b'}',
+    b"\xff\xfe",
+], ids=["not-json", "selected-not-list", "not-object", "triple-node", "not-utf8"])
+def test_validate_malformed_json_exits_two(quad_pgm, tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_bytes(text)
     assert main(["validate", "--tree", str(bad), "--input", str(quad_pgm)]) == 2
+    assert "error: malformed tree document" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency; importing it costs most of the CLI's
+    # start-up time and memory
+    code = ("import sys, infoquad, infoquad.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(iq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_increments_csv(quad_pgm, tmp_path):

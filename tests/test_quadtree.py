@@ -3,6 +3,7 @@ import pytest
 
 import infoquad as iq
 from infoquad.quadtree import (
+    MalformedTreeDocument,
     NodeId,
     TreeSelection,
     candidate_at,
@@ -179,4 +180,21 @@ def test_tree_json_rejects_wrong_leaf_count(tmp_path):
         ' "i_x_nats": 0.0, "i_y_nats": 0.0}'
     )
     with pytest.raises(ValueError, match="leaf_count"):
+        read_tree_json(path)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("[[0, 0]]", "not a JSON object"),
+    ('{"depth_l": 1, "selected": [], "leaf_count": 1, "i_x_nats": 0.0}', "i_y_nats"),
+    ('{"depth_l": 1.0, "selected": [], "leaf_count": 1, "i_x_nats": 0.0,'
+     ' "i_y_nats": 0.0}', "depth_l"),
+    ('{"depth_l": 1, "selected": [], "leaf_count": 1, "i_x_nats": NaN,'
+     ' "i_y_nats": 0.0}', "i_x_nats"),
+    ('{"depth_l": 1, "selected": [[true, 0]], "leaf_count": 4, "i_x_nats": 0.0,'
+     ' "i_y_nats": 0.0}', "selected"),
+])
+def test_tree_json_rejects_malformed_shape(tmp_path, text, match):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(MalformedTreeDocument, match=match):
         read_tree_json(path)

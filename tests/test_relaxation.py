@@ -3,7 +3,12 @@ import pytest
 
 import infoquad as iq
 from infoquad.relaxation import FractionalSelection
-from helpers import quadrant_world, random_world, random_monotone_fractional
+from helpers import (
+    quadrant_world,
+    random_monotone_fractional,
+    random_world,
+    reference_lp_objective,
+)
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +175,19 @@ def test_lp_solution_respects_box_and_precedence():
         parents = values[depth_offset(d - 1):depth_offset(d)]
         children = values[depth_offset(d):depth_offset(d + 1)]
         assert np.all(children <= np.repeat(parents, 4) + 1e-9)
+
+
+@pytest.mark.parametrize("uniform_prior", [True, False], ids=["uniform", "weighted"])
+@pytest.mark.parametrize("depth_l", [1, 2, 3, 4, 5])
+def test_lp_matches_reference_solver(depth_l, uniform_prior):
+    rng = np.random.default_rng(37 + 2 * depth_l + uniform_prior)
+    for _ in range(3):
+        world = random_world(rng, depth_l, uniform_prior=uniform_prior,
+                             zero_prior=not uniform_prior)
+        inc = iq.compute_increments(world)
+        total = float(inc.delta_y.sum())
+        for d_hat in (0.0, total, *(f * total for f in (0.05, 0.3, 0.5, 0.77, 0.999))):
+            frac, objective = iq.solve_lp_relaxation(inc, d_hat)
+            assert objective == pytest.approx(reference_lp_objective(inc, d_hat), abs=1e-9)
+            assert float(inc.delta_y @ frac.z) >= d_hat - 1e-9
+            assert float(inc.delta_x @ frac.z) == pytest.approx(objective, abs=1e-12)
