@@ -158,21 +158,15 @@ def cmd_relax(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # the map comes first: its depth bounds the selection the document may build
+    world = _load_world(args)
     try:
-        selection, doc = read_tree_json(args.tree)
+        selection, doc = read_tree_json(args.tree, depth_l=world.depth_l)
     except (json.JSONDecodeError, UnicodeDecodeError, MalformedTreeDocument) as exc:
         print(f"error: malformed tree document: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)
-        return 1
-    world = _load_world(args)
-    if selection.depth_l != world.depth_l:
-        print(
-            f"inconsistent: tree depth_l {selection.depth_l} does not match "
-            f"map depth_l {world.depth_l}",
-            file=sys.stderr,
-        )
         return 1
     if not is_valid_selection(selection, world.depth_l):
         print("inconsistent: selection violates precedence", file=sys.stderr)

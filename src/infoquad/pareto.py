@@ -2,23 +2,36 @@
 
 A min-rate solve alone need not be Pareto efficient: several trees can share
 the optimal rate while retaining different amounts of relevant information.
-Each traced point therefore runs two stages: minimize the rate under the
-relevance floor, then maximize relevance among trees pinned to that optimal
-rate.  Sweeping the floor adaptively (next query = last achieved relevance
-plus a small step) visits every achievable relevance level without a grid.
+Each traced point is therefore the relevance-maximal tree among those at the
+minimal rate meeting a relevance floor.  Sweeping the floor adaptively (next
+query = last achieved relevance plus a small step) visits every achievable
+relevance level without a grid.
+
+Uniform priors read the whole frontier off the rate-class lattice: the root
+table holds the maximal relevance of every integer rate class, so the classes
+a floor can select are the strict prefix records of that one array.  All
+records are reconstructed in batched level-by-level passes and the floor sweep
+replays over them, with no solve per point.  Weighted priors run the sweep as
+a two-stage trace: minimize the rate under the floor, then maximize relevance
+among trees pinned to that optimal rate.
 """
 
 from __future__ import annotations
 
 import csv
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .increments import IncrementVectors
 from .quadtree import TreeSelection
 from .solver import (
     DEFAULT_NODE_LIMIT,
     TOL,
+    _lattice_for,
+    _LatticeDP,
     solve_equality_max_relevance,
     solve_min_rate,
 )
@@ -100,11 +113,19 @@ def trace_pareto(inc: IncrementVectors, eps_step: float = DEFAULT_EPS_STEP,
     After a point achieving relevance v the next floor queried is v + eps_step,
     so every level distinguishable at eps_step resolution is visited; the value
     set is finite and the loop provably terminates.
+
+    With a uniform prior the points come from the rate-class lattice and
+    node_limit is unused; stage1_ms is then the point's record lookup and
+    information sums, and stage2_ms the batched reconstruction its lookup
+    started (0 when an earlier batch already held its tree).
     """
     if eps_step <= TOL:
         raise ValueError(
             f"eps_step must exceed the feasibility tolerance {TOL}, got {eps_step}"
         )
+    lattice = _lattice_for(inc)
+    if lattice is not None:
+        return _trace_lattice(inc, lattice, eps_step)
     total = float(inc.delta_y.sum())
     points = [pareto_point(inc, 0.0, node_limit=node_limit)]
     while points[-1].d_hat_star < total - TOL:
@@ -113,6 +134,49 @@ def trace_pareto(inc: IncrementVectors, eps_step: float = DEFAULT_EPS_STEP,
         if point.d_hat_star <= points[-1].d_hat_star + 1e-15:
             break  # floating-point guard; cannot happen for eps_step > tol
         points.append(point)
+    return points
+
+
+def _trace_lattice(inc: IncrementVectors, lattice: _LatticeDP,
+                   eps_step: float) -> list[ParetoPoint]:
+    """The floor sweep of trace_pareto, answered from the lattice root.
+
+    The first class whose relevance meets a floor is always a strict prefix
+    record of the root table (a class not above every cheaper one is beaten
+    to the floor by one of them), and so is the argmax fallback that
+    solve_min_rate takes.  Each point is that record's tree, with its
+    information pair summed exactly as the solvers sum it.
+    """
+    root = lattice.root
+    is_record = np.ones(root.size, dtype=bool)
+    is_record[1:] = root[1:] > np.maximum.accumulate(root)[:-1]
+    classes = np.flatnonzero(is_record)
+    values = root[classes].tolist()
+    total = float(inc.delta_y.sum())
+    first, trees = 0, np.zeros((0, inc.num_candidates), dtype=np.uint8)
+    points: list[ParetoPoint] = []
+    query = 0.0
+    while True:
+        t0 = time.perf_counter()
+        r = min(bisect_left(values, query - TOL), classes.size - 1)
+        t1 = time.perf_counter()
+        if not first <= r < first + len(trees):
+            first = r
+            trees = lattice.reconstruct_many(classes[r:r + lattice.batch_rows])
+        t2 = time.perf_counter()
+        selection = TreeSelection(trees[r - first].copy())
+        zf = selection.z.astype(np.float64)
+        i_x, i_y = float(zf @ inc.delta_x), float(zf @ inc.delta_y)
+        t3 = time.perf_counter()
+        if points and i_y <= points[-1].d_hat_star + 1e-15:
+            break  # floating-point guard, as in the two-stage sweep
+        points.append(ParetoPoint(
+            d_star=i_x, d_hat_star=i_y, selection=selection, d_hat_query=query,
+            stage1_ms=(t1 - t0 + t3 - t2) * 1e3, stage2_ms=(t2 - t1) * 1e3,
+        ))
+        if i_y >= total - TOL:
+            break
+        query = min(i_y + eps_step, total)
     return points
 
 

@@ -304,11 +304,13 @@ _TREE_FIELDS = (("depth_l", _is_int), ("selected", _is_node_list), ("leaf_count"
                 ("i_x_nats", _is_finite), ("i_y_nats", _is_finite))
 
 
-def read_tree_json(path) -> tuple[TreeSelection, dict]:
+def read_tree_json(path, depth_l: int | None = None) -> tuple[TreeSelection, dict]:
     """Load and validate a tree document; rejects invalid selections.
 
     A document of the wrong shape raises MalformedTreeDocument, a subclass of
     the ValueError raised for a well-formed one that is not a valid tree.
+    Given depth_l (the map's depth), a document of another depth raises
+    ValueError before its selection, which grows as 4^depth, is allocated.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -319,6 +321,10 @@ def read_tree_json(path) -> tuple[TreeSelection, dict]:
             raise MalformedTreeDocument(f"tree document missing key {key!r}")
         if not well_formed(doc[key]):
             raise MalformedTreeDocument(f"tree document has a malformed {key!r}")
+    if depth_l is not None and doc["depth_l"] != depth_l:
+        raise ValueError(
+            f"tree depth_l {doc['depth_l']} does not match map depth_l {depth_l}"
+        )
     depth_l = doc["depth_l"]
     nodes = [NodeId(d, m) for d, m in doc["selected"]]
     selection = selection_from_nodes(depth_l, nodes)

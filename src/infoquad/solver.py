@@ -49,7 +49,8 @@ from functools import lru_cache
 import numpy as np
 
 from .increments import IncrementVectors
-from .quadtree import TreeSelection, depth_from_candidate_count, depth_offset
+from .quadtree import (TreeSelection, depth_from_candidate_count, depth_offset,
+                       num_candidates)
 
 __all__ = [
     "TOL",
@@ -492,6 +493,7 @@ def _search(mode, a, b, lo_bound, hi_bound, ladder, seed_z, node_limit, depth_l,
 
 
 _NEG = -1e300
+_BATCH_ELEMENTS = 1 << 20   # entries per split scan in a batched reconstruction
 
 
 def _maxplus(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -540,44 +542,84 @@ class _LatticeDP:
                 self.M12[d], self.M34[d], self.MALL[d] = m12, m34, mall
             self.T[d] = td
         self.root = self.T[0][0]
+        # per row: its tree, and split scans of at most 4^d * width(M12[d])
+        # entries at depth d
+        per_row = max([num_candidates(depth_l)] + [
+            4 ** d * self.M12[d].shape[1] for d in range(depth_l - 1)])
+        self.batch_rows = max(1, _BATCH_ELEMENTS // per_row)
 
     def reconstruct(self, k_target: int) -> np.ndarray:
         """Selection vector achieving root table entry k_target, smallest
         child-split indices first (deterministic)."""
-        depth_l = self.depth_l
-        z = np.zeros((4 ** depth_l - 1) // 3, dtype=np.uint8)
-        stack = [(0, 0, int(k_target))]
-        while stack:
-            d, m, k = stack.pop()
-            if k == 0:
-                continue
-            z[depth_offset(d) + m] = 1
-            kd = 4 ** (depth_l - 1 - d)
-            if d == depth_l - 1:
-                continue
-            j_all = k - kd
-            m12, m34 = self.M12[d][m], self.M34[d][m]
-            mall_val = self.MALL[d][m][j_all]
-            j12 = self._split(m12, m34, j_all, mall_val)
-            child = self.T[d + 1]
-            base = 4 * m
-            j0 = self._split(child[base], child[base + 1], j12, m12[j12])
-            j2 = self._split(child[base + 2], child[base + 3], j_all - j12,
-                             m34[j_all - j12])
-            stack.append((d + 1, base, j0))
-            stack.append((d + 1, base + 1, j12 - j0))
-            stack.append((d + 1, base + 2, j2))
-            stack.append((d + 1, base + 3, j_all - j12 - j2))
-        return z
+        return self.reconstruct_many([k_target])[0]
 
-    @staticmethod
-    def _split(left: np.ndarray, right: np.ndarray, k: int, value: float) -> int:
-        lo = max(0, k - (right.size - 1))
-        hi = min(left.size - 1, k)
-        for j in range(lo, hi + 1):
-            if left[j] + right[k - j] == value:
-                return j
+    def reconstruct_many(self, k_targets) -> np.ndarray:
+        """reconstruct(k) for each k, as the rows of one uint8 matrix.
+
+        Rows are traced level by level in batches of batch_rows, so the
+        split scans never hold more than about _BATCH_ELEMENTS entries.
+        """
+        k_targets = np.asarray(k_targets, dtype=np.int64)
+        out = np.zeros((k_targets.size, num_candidates(self.depth_l)), dtype=np.uint8)
+        for lo in range(0, k_targets.size, self.batch_rows):
+            self._trace_rows(k_targets[lo:lo + self.batch_rows], out[lo:lo + self.batch_rows])
+        return out
+
+    def _trace_rows(self, k_targets: np.ndarray, z: np.ndarray) -> None:
+        """Mark in z the nodes of each row's tree.
+
+        Per level, the active (row, node, class) triples are deduplicated
+        over (node, class), since rows often share subtrees, and each distinct
+        entry is split into its four children's classes at once.
+        """
+        depth_l = self.depth_l
+        row = np.flatnonzero(k_targets)
+        m = np.zeros(row.size, dtype=np.int64)
+        k = k_targets[row]
+        for d in range(depth_l):
+            z[row, depth_offset(d) + m] = 1
+            if d == depth_l - 1 or not row.size:
+                break
+            width = self.T[d].shape[1]
+            keys, inverse = np.unique(m * width + k, return_inverse=True)
+            um, uk = np.divmod(keys, width)
+            j_all = uk - 4 ** (depth_l - 1 - d)
+            m12, m34 = self.M12[d], self.M34[d]
+            j12 = _first_split(m12, um, m34, um, j_all, self.MALL[d][um, j_all])
+            j34 = j_all - j12
+            child = self.T[d + 1]
+            base = 4 * um
+            j0 = _first_split(child, base, child, base + 1, j12, m12[um, j12])
+            j2 = _first_split(child, base + 2, child, base + 3, j34, m34[um, j34])
+            kids = np.stack([j0, j12 - j0, j2, j34 - j2], axis=1)[inverse].ravel()
+            keep = kids > 0
+            row = np.repeat(row, 4)[keep]
+            m = (4 * m[:, None] + np.arange(4)).ravel()[keep]
+            k = kids[keep]
+
+
+def _first_split(left, left_rows, right, right_rows, k, value) -> np.ndarray:
+    """Per entry i, the smallest j with
+    left[left_rows[i], j] + right[right_rows[i], k[i] - j] == value[i].
+
+    This is the addition _maxplus made, so the equality is exact.
+    """
+    p, q = left.shape[1], right.shape[1]
+    lo = np.maximum(k - (q - 1), 0)
+    count = np.minimum(k, p - 1) - lo + 1
+    start = np.cumsum(count) - count
+    step = np.arange(int(count.sum()))
+    left_pos = np.repeat(left_rows * p + lo - start, count)
+    left_pos += step
+    right_pos = np.repeat(right_rows * q + k - lo + start, count)
+    right_pos -= step
+    sums = left.take(left_pos)
+    sums += right.take(right_pos)
+    hit = np.flatnonzero(sums == np.repeat(value, count))
+    first = np.append(hit, step.size)[np.searchsorted(hit, start)]
+    if np.any(first >= start + count):
         raise AssertionError("lattice reconstruction failed to split a table entry")
+    return first - start + lo
 
 
 def _lattice_for(inc: IncrementVectors) -> _LatticeDP | None:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,22 @@ def test_validate_stale_information_exits_one(quad_pgm, tmp_path, capsys):
     write_text(mutated, text)
     assert main(["validate", "--tree", str(out), "--input", str(mutated)]) == 1
     assert "recomputed" in capsys.readouterr().err
+
+
+def test_validate_rejects_deeper_document_before_allocating(flat_pgm, tmp_path, capsys):
+    # a depth-14 selection would take 89 MB; the 2x2 map's depth rules it out first
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"depth_l": 14, "selected": [], "leaf_count": 1,'
+                    ' "i_x_nats": 0.0, "i_y_nats": 0.0}')
+    tracemalloc.start()
+    try:
+        code = main(["validate", "--tree", str(deep), "--input", str(flat_pgm)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "tree depth_l 14 does not match map depth_l 1" in capsys.readouterr().err
+    assert peak < 4 * 2**20
 
 
 _TREE_FIELDS = b'"depth_l": 2, "leaf_count": 4, "i_x_nats": 0.0, "i_y_nats": 0.0'

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import infoquad as iq
-from helpers import quadrant_world, random_world
+from infoquad import pareto
+from infoquad.solver import _lattice_for
+from helpers import quadrant_world, random_world, reference_reconstruct
 
 QUAD_I_XY = 0.37677016125643675
 QUAD_RATE = 1.7328679513998633
@@ -10,14 +12,23 @@ LN4 = 1.3862943611198906
 
 
 def oracle_pareto_values(inc, depth_l):
-    """Dominance filter over full enumeration: the reference value set."""
-    pairs = [iq.tree_information(sel, inc) for sel in iq.enumerate_valid_selections(depth_l)]
-    kept = [
-        a for i, a in enumerate(pairs)
-        if not any(iq.is_dominated(a, b) for j, b in enumerate(pairs) if j != i)
-    ]
+    """Dominance filter over full enumeration: the reference value set.
+
+    A pair is dropped when some pair is_dominated it: one cheaper by more than
+    the tolerance and not less relevant beyond it, or one at most as costly
+    within the tolerance and more relevant beyond it.
+    """
+    Z = np.stack([sel.z for sel in iq.enumerate_valid_selections(depth_l)]).astype(float)
+    ix, iy = Z @ inc.delta_x, Z @ inc.delta_y
+    order = np.argsort(ix, kind="stable")
+    sorted_ix, best_iy = ix[order], np.maximum.accumulate(iy[order])
+    cheaper = np.searchsorted(sorted_ix, ix - 1e-9, side="left")
+    no_dearer = np.searchsorted(sorted_ix, ix + 1e-9, side="right")
+    best_cheaper = np.where(cheaper > 0, best_iy[np.maximum(cheaper - 1, 0)], -np.inf)
+    dominated = (best_cheaper >= iy - 1e-9) | (best_iy[no_dearer - 1] > iy + 1e-9)
+    kept = sorted(zip(ix[~dominated].tolist(), iy[~dominated].tolist()))
     unique = []
-    for value in sorted(kept):
+    for value in kept:
         if not unique or abs(value[0] - unique[-1][0]) > 1e-9 \
                 or abs(value[1] - unique[-1][1]) > 1e-9:
             unique.append(value)
@@ -158,3 +169,71 @@ def test_pareto_csv_written_sorted(tmp_path):
     assert rates == sorted(rates)
     # timings zeroed by default for reproducible bytes
     assert all(line.split(",")[4] == "0" for line in lines[1:])
+
+
+def two_stage_trace(inc, eps_step):
+    """The floor sweep with one pareto_point (two solves) per point."""
+    total = float(inc.delta_y.sum())
+    points = [iq.pareto_point(inc, 0.0)]
+    while points[-1].d_hat_star < total - 1e-9:
+        point = iq.pareto_point(inc, min(points[-1].d_hat_star + eps_step, total))
+        if point.d_hat_star <= points[-1].d_hat_star + 1e-15:
+            break
+        points.append(point)
+    return points
+
+
+@pytest.mark.parametrize("depth_l, seed", [(4, 0), (4, 1), (5, 2)])
+@pytest.mark.parametrize("eps_step", [iq.pareto.DEFAULT_EPS_STEP, 0.002])
+def test_lattice_trace_equals_two_stage_trace(depth_l, seed, eps_step):
+    world = random_world(np.random.default_rng(seed), depth_l, binary=seed == 1)
+    inc = iq.compute_increments(world)
+    assert _lattice_for(inc) is not None
+    got = iq.trace_pareto(inc, eps_step=eps_step)
+    want = two_stage_trace(inc, eps_step)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.d_star, g.d_hat_star, g.d_hat_query) == (w.d_star, w.d_hat_star, w.d_hat_query)
+        assert g.selection == w.selection
+
+
+@pytest.mark.parametrize("depth_l, binary", [(1, False), (3, True), (5, False), (5, True)])
+def test_batched_reconstruction_matches_node_by_node(depth_l, binary):
+    # binary maps leave many equal table entries, so the split tie-break matters
+    world = random_world(np.random.default_rng(depth_l), depth_l, binary=binary)
+    inc = iq.compute_increments(world)
+    lattice = _lattice_for(inc)
+    attainable = np.flatnonzero(lattice.root > -1e299)
+    ks = attainable[::max(1, attainable.size // 60)]
+    batched = lattice.reconstruct_many(ks)
+    for k, row in zip(ks, batched):
+        assert np.array_equal(row, reference_reconstruct(lattice, k))
+        assert np.array_equal(row, lattice.reconstruct(k))
+
+
+def test_weighted_trace_uses_the_solvers_and_matches_oracle(monkeypatch):
+    calls = []
+
+    def counted(solve):
+        def wrapper(*args, **kwargs):
+            calls.append(solve.__name__)
+            return solve(*args, **kwargs)
+        return wrapper
+
+    for name in ("solve_min_rate", "solve_equality_max_relevance"):
+        monkeypatch.setattr(pareto, name, counted(getattr(pareto, name)))
+    rng = np.random.default_rng(43)
+    uniform = iq.compute_increments(random_world(rng, 3))
+    iq.trace_pareto(uniform)
+    assert calls == []  # the lattice answers uniform priors alone
+    for _ in range(2):
+        inc = iq.compute_increments(random_world(rng, 3, uniform_prior=False))
+        assert _lattice_for(inc) is None
+        points = iq.trace_pareto(inc)
+        assert calls.count("solve_min_rate") == calls.count("solve_equality_max_relevance")
+        assert calls.count("solve_min_rate") >= len(points)
+        expected = oracle_pareto_values(inc, 3)
+        assert len(points) == len(expected)
+        for p, want in zip(points, expected):
+            assert p.d_star == pytest.approx(want[0], abs=1e-9)
+            assert p.d_hat_star == pytest.approx(want[1], abs=1e-9)
