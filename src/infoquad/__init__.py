@@ -18,8 +18,16 @@ from .increments import (
     write_increments_csv,
 )
 from .infotheory import direct_tree_information, entropy, js_divergence, kl_divergence
-from .pareto import ParetoPoint, is_dominated, pareto_point, trace_pareto, write_pareto_csv
+from .pareto import (
+    DEFAULT_EPS_STEP,
+    ParetoPoint,
+    is_dominated,
+    pareto_point,
+    trace_pareto,
+    write_pareto_csv,
+)
 from .quadtree import (
+    MalformedTreeDocument,
     NodeId,
     TreeSelection,
     encoder_of,
@@ -67,7 +75,7 @@ __all__ = [
     "world_from_cells", "world_from_grid", "write_pgm",
     "NodeId", "TreeSelection", "interior_candidates", "expandable_parents",
     "is_valid_selection", "leaves_of", "encoder_of", "selection_from_nodes",
-    "read_tree_json", "write_tree_json",
+    "read_tree_json", "write_tree_json", "MalformedTreeDocument",
     "entropy", "kl_divergence", "js_divergence", "direct_tree_information",
     "NodeStats", "TreeStats", "IncrementVectors", "compute_node_stats",
     "node_delta_x", "node_delta_y", "compute_increments", "tree_information",
@@ -77,4 +85,5 @@ __all__ = [
     "count_valid_selections", "TOL", "DEFAULT_NODE_LIMIT",
     "FractionalSelection", "solve_lp_relaxation", "round_selection", "relax_and_round",
     "ParetoPoint", "is_dominated", "pareto_point", "trace_pareto", "write_pareto_csv",
+    "DEFAULT_EPS_STEP",
 ]

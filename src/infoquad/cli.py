@@ -19,8 +19,7 @@ import numpy as np
 
 from .increments import compute_increments, tree_information, write_increments_csv
 from .pareto import DEFAULT_EPS_STEP, trace_pareto, write_pareto_csv
-from .quadtree import (MalformedTreeDocument, candidate_at, is_valid_selection,
-                       read_tree_json, write_tree_json)
+from .quadtree import MalformedTreeDocument, candidate_at, read_tree_json, write_tree_json
 from .relaxation import round_selection, solve_lp_relaxation
 from .solver import (
     DEFAULT_NODE_LIMIT,
@@ -167,9 +166,6 @@ def cmd_validate(args) -> int:
         return 2
     except ValueError as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)
-        return 1
-    if not is_valid_selection(selection, world.depth_l):
-        print("inconsistent: selection violates precedence", file=sys.stderr)
         return 1
     inc = compute_increments(world)
     i_x, i_y = tree_information(selection, inc)

@@ -4,8 +4,9 @@ Over the integral tree-validity polytope the Lagrangian dual of the one
 relevance row is exact.  For a multiplier lam each ancestor-closed subtree Z
 gives the dual line lam * (d_hat - Z.delta_y) + Z.delta_x; the breakpoints of
 their lower envelope are the generalized BFOS pruning sequence (Chou,
-Lookabaugh & Gray, IEEE Trans. IT 1989).  Newton steps on that envelope find
-the optimum: the convex combination of two nested subtrees on the floor.
+Lookabaugh & Gray, IEEE Trans. IT 1989).  Newton steps on that envelope, the
+routine the search's bounds use too, find the optimum: the convex combination
+of two nested subtrees on the floor.
 Thresholding such a precedence-feasible vector always yields a valid tree, but
 not always one that still meets the floor, so relax_and_round reports a flag.
 """
@@ -19,7 +20,8 @@ import numpy as np
 
 from .increments import IncrementVectors
 from .quadtree import TreeSelection, depth_from_candidate_count, depth_offset
-from .solver import TOL, SolveResult, _closure_best, _closure_mask, _result_from_z, _MIN_RATE
+from .solver import (TOL, SolveResult, _FLOOR_SLACK, _MIN_RATE, _parametric_dual,
+                     _result_from_z)
 
 __all__ = [
     "FractionalSelection",
@@ -29,10 +31,6 @@ __all__ = [
 ]
 
 _PRECEDENCE_SLACK = 1e-9
-# rounding slack: a sum just under the floor meets it, and subtrees tied at the
-# optimal multiplier would otherwise make the Newton steps cycle
-_FLOOR_SLACK = 1e-12    # relative to the total relevance
-_DUAL_SLACK = 1e-14     # relative to the magnitude of a dual line
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,28 +71,11 @@ def solve_lp_relaxation(inc: IncrementVectors, d_hat: float) -> tuple[Fractional
         )
     n = inc.num_candidates
     d_hat = min(d_hat, total)
-    slack = _FLOOR_SLACK * max(total, 1.0)
-    if n == 0 or d_hat <= slack:
+    if n == 0 or d_hat <= _FLOOR_SLACK * max(total, 1.0):
         return FractionalSelection(np.zeros(n)), 0.0
     depth_l = depth_from_candidate_count(n)
-    # bracket subtrees: lo misses the floor, hi meets it.  Step to where their
-    # dual lines cross; stop once no subtree there lies below them.
-    lo, hi = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
-    x_lo, y_lo, x_hi, y_hi = 0.0, 0.0, float(inc.delta_x.sum()), total
-    for _ in range(n + 2):
-        lam = (x_hi - x_lo) / (y_hi - y_lo)
-        bound = lam * (d_hat - y_lo) + x_lo
-        best = _closure_best(inc.delta_x - lam * inc.delta_y, depth_l, -1)
-        mask = _closure_mask(best, depth_l, -1)
-        x_c, y_c = float(inc.delta_x[mask].sum()), float(inc.delta_y[mask].sum())
-        if lam * (d_hat - y_c) + x_c >= bound - _DUAL_SLACK * (1.0 + x_hi + lam * y_hi):
-            break
-        if y_c >= d_hat - slack:
-            hi, x_hi, y_hi = mask, x_c, y_c
-        else:
-            lo, x_lo, y_lo = mask, x_c, y_c
-    else:
-        raise RuntimeError("parametric closure did not converge")
+    _, _, lo, hi = _parametric_dual(inc.delta_x, inc.delta_y, d_hat, -1, depth_l)
+    y_lo, y_hi = float(inc.delta_y[lo].sum()), float(inc.delta_y[hi].sum())
     theta = min(max((d_hat - y_lo) / (y_hi - y_lo), 0.0), 1.0)
     z = lo + theta * (hi.astype(np.float64) - lo)
     return FractionalSelection(z), float(inc.delta_x @ z)

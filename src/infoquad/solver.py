@@ -12,14 +12,18 @@ selected, so every explored assignment is a tree.
 
 Bounds come from the Lagrangian dual of the single information constraint over
 the tree-validity polytope.  For a fixed multiplier the inner problem is a
-min/max ancestor-closed-subtree weighting, solved in one bottom-up pass, and
-the dual value at the maximizing multiplier equals the LP-relaxation optimum.
-Because the duals of the remaining subproblems drift as the search fixes the
-shallow backbone, bounds are evaluated on a geometric ladder of multipliers
-around the root-optimal one (every multiplier gives a valid bound); the
-fractional-knapsack critical ratio is one of the ladder anchors, so the
-per-node bound dominates the plain knapsack bound as well.  Per search node
-the bound update is a single K-vector operation.
+min/max ancestor-closed-subtree weighting, solved in one bottom-up pass.  The
+dual is piecewise linear in the multiplier, and _parametric_dual finds its
+optimum by Newton steps between two bracketing subtrees (the generalized BFOS
+pruning sequence), a few closure passes in all; its value there equals the
+LP-relaxation optimum, and the LP relaxation uses the same routine.  Because
+the duals of the remaining subproblems drift as the search fixes the shallow
+backbone, bounds are evaluated on a geometric ladder of multipliers around the
+root-optimal one (every multiplier gives a valid bound), tabulated in one
+closure pass over all of them; the fractional-knapsack critical ratio is one
+of the ladder anchors, so the per-node bound dominates the plain knapsack
+bound as well.  Per search node the bound update is a single K-vector
+operation.
 
 Feasibility tolerance is 1e-9 everywhere; ties within it are broken by smaller
 rate, then larger relevance, then the lexicographically smallest selection
@@ -74,6 +78,12 @@ _BAND_MAX = 2
 
 _LADDER_SPAN = 10     # multipliers cover anchor * 2^[-span, span]
 _LADDER_STEPS = 29
+# Newton slacks: a subtree within _FLOOR_SLACK of a row's bound keeps the row,
+# and a closure within _DUAL_SLACK of the bracket lines does not lie below
+# them.  Without them subtrees tied at the optimal multiplier make the steps
+# cycle.
+_FLOOR_SLACK = 1e-12    # relative to the row's total
+_DUAL_SLACK = 1e-14     # relative to the magnitude of a dual line
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -105,13 +115,14 @@ def _subtree_sums(vec: np.ndarray, depth_l: int) -> np.ndarray:
 
 
 def _closure_best(w: np.ndarray, depth_l: int, sign: int) -> np.ndarray:
-    """best[t]: extremal weight of ancestor-closed subsets of t's subtree containing t."""
+    """best[..., t]: extremal weight of ancestor-closed subsets of t's subtree
+    containing t, for a weight vector w or for each row of a (K, n) matrix."""
     off = _offsets(depth_l)
     clip = np.minimum if sign < 0 else np.maximum
     best = w.copy()
     for d in range(depth_l - 2, -1, -1):
-        kids = clip(best[off[d + 1]:off[d + 2]], 0.0).reshape(-1, 4).sum(axis=1)
-        best[off[d]:off[d + 1]] += kids
+        kids = clip(best[..., off[d + 1]:off[d + 2]], 0.0)
+        best[..., off[d]:off[d + 1]] += kids.reshape(w.shape[:-1] + (-1, 4)).sum(axis=-1)
     return best
 
 
@@ -173,23 +184,46 @@ class _Ladder:
         self.root_bound = root_bound
 
 
-def _ternary_lambda(evaluate, lam_hi, maximize, iters=80):
-    lo, hi = 0.0, lam_hi
-    best_lam, best_val = 0.0, evaluate(0.0)
-    cmp = (lambda p, q: p > q) if maximize else (lambda p, q: p < q)
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        v1, v2 = evaluate(m1), evaluate(m2)
-        if cmp(v1, best_val):
-            best_lam, best_val = m1, v1
-        if cmp(v2, best_val):
-            best_lam, best_val = m2, v2
-        if cmp(v2, v1):
-            lo = m1
+def _parametric_dual(a, b, bound, sign, depth_l):
+    """Optimal multiplier of the Lagrangian dual of one row over valid selections.
+
+    sign -1 is the covering program min a.z s.t. b.z >= bound; sign +1 the
+    packing program max a.z s.t. b.z <= bound, run as the covering program
+    of (-a, -b, -bound).  Each subtree Z gives the dual line
+    lam * (bound - b.Z) + a.Z, and the covering dual is their lower envelope,
+    whose breakpoints are the generalized BFOS pruning sequence (Chou,
+    Lookabaugh & Gray, IEEE Trans. IT 1989).  Newton steps on it start from
+    the empty and the full tree as brackets, lo missing the row and hi
+    keeping it, step to where their lines cross, and stop once the closure
+    there does not lie below them; one closure pass per step.
+
+    Returns (lam, value, lo, hi): the multiplier, the dual value evaluated at
+    it (a valid bound whatever lam is), and the two bracket masks.  When the
+    empty and the full tree both keep the row, lam is 0.
+    """
+    if sign > 0:
+        lam, value, lo, hi = _parametric_dual(-a, -b, -bound, -1, depth_l)
+        return lam, -value, lo, hi
+    total = float(b.sum())
+    slack = _FLOOR_SLACK * max(abs(total), 1.0)
+    empty = (np.zeros(a.size, dtype=bool), 0.0, 0.0)
+    full = (np.ones(a.size, dtype=bool), float(a.sum()), total)
+    (lo, x_lo, y_lo), (hi, x_hi, y_hi) = (full, empty) if bound <= slack else (empty, full)
+    if y_lo >= bound - slack:
+        return 0.0, min(float(_closure_best(a, depth_l, -1)[0]), 0.0), lo, hi
+    for _ in range(a.size + 2):
+        lam = (x_hi - x_lo) / (y_hi - y_lo)
+        line = lam * (bound - y_lo) + x_lo
+        best = _closure_best(a - lam * b, depth_l, -1)
+        mask = _closure_mask(best, depth_l, -1)
+        x_c, y_c = float(a[mask].sum()), float(b[mask].sum())
+        if lam * (bound - y_c) + x_c >= line - _DUAL_SLACK * (1.0 + abs(x_hi) + lam * abs(y_hi)):
+            return lam, lam * bound + min(float(best[0]), 0.0), lo, hi
+        if y_c >= bound - slack:
+            hi, x_hi, y_hi = mask, x_c, y_c
         else:
-            hi = m2
-    return best_lam, best_val
+            lo, x_lo, y_lo = mask, x_c, y_c
+    raise RuntimeError("parametric closure did not converge")
 
 
 def _ladder_multipliers(anchors) -> np.ndarray:
@@ -199,58 +233,31 @@ def _ladder_multipliers(anchors) -> np.ndarray:
     return lams
 
 
-def _cover_ladder(a, b, need, depth_l) -> _Ladder:
-    """Lower-bound ladder for min {a.z : b.z >= need} over valid selections."""
+def _ladder(obj, cons, bound, sign, depth_l) -> _Ladder:
+    """Bound ladder over valid selections: a lower bound on the covering
+    program min {obj.z : cons.z >= bound} for sign -1, an upper bound on the
+    packing program max {obj.z : cons.z <= bound} for sign +1.
 
-    def dual(lam):
-        best = _closure_best(a - lam * b, depth_l, -1)
-        return lam * need + float(min(best[0], 0.0))
-
-    lam_hi = 1.0
-    for _ in range(200):
-        best = _closure_best(a - lam_hi * b, depth_l, -1)
-        if b[_closure_mask(best, depth_l, -1)].sum() >= need:
-            break
-        lam_hi *= 2.0
-    lam_star, root_bound = _ternary_lambda(dual, lam_hi, maximize=True)
-    lams = _ladder_multipliers([lam_star, _knapsack_ratio_cover(a, b, need)])
-    G = np.empty((a.size, lams.size))
-    D1 = np.empty_like(G)
-    for k, lam in enumerate(lams):
-        w = a - lam * b
-        best = _closure_best(w, depth_l, -1)
-        gain = np.minimum(best, 0.0)
-        G[:, k] = gain
-        D1[:, k] = best - w - gain
-        root_bound = max(root_bound, lam * need + float(gain[0]))
-    return _Ladder(lams, G, D1, max(root_bound, 0.0))
-
-
-def _pack_ladder(b, a, cap, depth_l) -> _Ladder:
-    """Upper-bound ladder for max {b.z : a.z <= cap} over valid selections."""
-
-    def dual(lam):
-        best = _closure_best(b - lam * a, depth_l, +1)
-        return lam * cap + float(max(best[0], 0.0))
-
-    lam_hi = 1.0
-    for _ in range(200):
-        best = _closure_best(b - lam_hi * a, depth_l, +1)
-        if a[_closure_mask(best, depth_l, +1)].sum() <= cap:
-            break
-        lam_hi *= 2.0
-    lam_star, root_bound = _ternary_lambda(dual, lam_hi, maximize=False)
-    lams = _ladder_multipliers([lam_star, _knapsack_ratio_pack(a, b, cap)])
-    G = np.empty((a.size, lams.size))
-    D1 = np.empty_like(G)
-    for k, lam in enumerate(lams):
-        w = b - lam * a
-        best = _closure_best(w, depth_l, +1)
-        gain = np.maximum(best, 0.0)
-        G[:, k] = gain
-        D1[:, k] = best - w - gain
-        root_bound = min(root_bound, lam * cap + float(gain[0]))
-    return _Ladder(lams, G, D1, root_bound)
+    The multipliers are a geometric grid around the larger of the dual's
+    optimal multiplier and the fractional-knapsack critical ratio.  All their
+    closures come from one pass over a (K, n) weight matrix, one row per
+    multiplier, so each row sums exactly as a single-vector pass would.
+    """
+    lam_star, root_bound, _, _ = _parametric_dual(obj, cons, bound, sign, depth_l)
+    if sign < 0:
+        ratio = _knapsack_ratio_cover(obj, cons, bound)
+    else:
+        ratio = _knapsack_ratio_pack(cons, obj, bound)
+    lams = _ladder_multipliers([lam_star, ratio])
+    w = obj - lams[:, None] * cons
+    best = _closure_best(w, depth_l, sign)
+    gain = np.minimum(best, 0.0) if sign < 0 else np.maximum(best, 0.0)
+    at_root = lams * bound + gain[:, 0]
+    if sign < 0:
+        root_bound = max(root_bound, float(at_root.max()), 0.0)
+    else:
+        root_bound = min(root_bound, float(at_root.min()))
+    return _Ladder(lams, gain.T, (best - w - gain).T, root_bound)
 
 
 def _chain_cost(idx, selected, a, b):
@@ -402,8 +409,6 @@ def _search(mode, a, b, lo_bound, hi_bound, ladder, seed_z, node_limit, depth_l,
     seed_first = seed_z.tolist() if seed_z is not None else [0] * n
     nodes = [0]
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 10_000))
-
     def consider(fa, fb):
         best = incumbent[0]
         if mode == _MIN_RATE:
@@ -450,7 +455,7 @@ def _search(mode, a, b, lo_bound, hi_bound, ladder, seed_z, node_limit, depth_l,
                 if fb2 + sb2 < lo_bound:
                     continue
                 if best is not None:
-                    lb = fa2 + float(np.max(lam * (lo_bound - fb2) + s2))
+                    lb = fa2 + float((lam * (lo_bound - fb2) + s2).max())
                     if lb < fa2:
                         lb = fa2
                     if lb > best.obj + TOL:
@@ -458,7 +463,7 @@ def _search(mode, a, b, lo_bound, hi_bound, ladder, seed_z, node_limit, depth_l,
                     if tie_ladder is not None and lb >= best.obj - TOL:
                         # subtree can at best tie the rate; bound its relevance
                         cap_tie = best.obj + TOL
-                        iy_ub = fb2 + float(np.min(t_lam * (cap_tie - fa2) + t2))
+                        iy_ub = fb2 + float((t_lam * (cap_tie - fa2) + t2).min())
                         if iy_ub > fb2 + sb2:
                             iy_ub = fb2 + sb2
                         if iy_ub <= best.iy + TOL:
@@ -469,7 +474,7 @@ def _search(mode, a, b, lo_bound, hi_bound, ladder, seed_z, node_limit, depth_l,
                 if mode == _BAND_MAX and fa2 + sa2 < lo_bound:
                     continue
                 if best is not None:
-                    ub = fb2 + float(np.min(lam * (hi_bound - fa2) + s2))
+                    ub = fb2 + float((lam * (hi_bound - fa2) + s2).min())
                     if ub > fb2 + sb2:
                         ub = fb2 + sb2
                     if ub < best.obj - TOL:
@@ -486,7 +491,12 @@ def _search(mode, a, b, lo_bound, hi_bound, ladder, seed_z, node_limit, depth_l,
 
     if n:
         tie0 = t_G[0].copy() if tie_ladder is not None else None
-        rec(0, 0.0, 0.0, G[0].copy(), suba[0], subb[0], tie0)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 4 * n + 10_000))
+        try:
+            rec(0, 0.0, 0.0, G[0].copy(), suba[0], subb[0], tie0)
+        finally:
+            sys.setrecursionlimit(limit)
     else:
         consider(0.0, 0.0)
     return incumbent[0], nodes[0]
@@ -694,11 +704,11 @@ def solve_min_rate(inc: IncrementVectors, d_hat: float,
         k = int(hits[0]) if hits.size else int(np.argmax(lattice.root))
         return _result_from_z(lattice.reconstruct(k), inc, _MIN_RATE, 0, t0)
     seed = _seed_cover(a, b, need, depth_l)
-    ladder = _cover_ladder(a, b, need, depth_l)
+    ladder = _ladder(a, b, need, -1, depth_l)
     seed_obj = float(a @ seed)
     if seed_obj <= ladder.root_bound + TOL:
         return _result_from_z(seed, inc, _MIN_RATE, 0, t0)
-    tie_ladder = _pack_ladder(b, a, seed_obj + TOL, depth_l)
+    tie_ladder = _ladder(b, a, seed_obj + TOL, +1, depth_l)
     best, nodes = _search(_MIN_RATE, a, b, need, np.inf, ladder, seed, node_limit,
                           depth_l, tie_ladder=tie_ladder)
     return _result_from_z(best.z, inc, _MIN_RATE, nodes, t0)
@@ -725,7 +735,7 @@ def solve_max_relevance(inc: IncrementVectors, budget_d: float,
         k = int(np.argmax(feasible))  # first maximum: smaller rate on ties
         return _result_from_z(lattice.reconstruct(k), inc, _MAX_REL, 0, t0)
     seed = _seed_pack(b, a, cap, depth_l)
-    ladder = _pack_ladder(b, a, cap, depth_l)
+    ladder = _ladder(b, a, cap, +1, depth_l)
     seed_obj = float(b @ seed)
     if ladder.root_bound <= seed_obj + TOL:
         return _result_from_z(seed, inc, _MAX_REL, 0, t0)
@@ -770,7 +780,7 @@ def solve_equality_max_relevance(inc: IncrementVectors, d_star: float,
     total_nodes = 0
     while True:
         lo, hi = d_star - band, d_star + band
-        ladder = _pack_ladder(b, a, hi, depth_l)
+        ladder = _ladder(b, a, hi, +1, depth_l)
         if seed is not None and ladder.root_bound <= float(b @ seed) + TOL:
             result = _result_from_z(seed, inc, _BAND_MAX, total_nodes, t0)
         else:

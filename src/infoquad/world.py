@@ -12,6 +12,7 @@ nats.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,13 +137,14 @@ def _read_pgm(path) -> tuple[np.ndarray, int]:
             raise ValueError("truncated PGM raster")
         pixels = np.frombuffer(raster, dtype=dtype, count=count).astype(np.int64)
     else:
-        values = []
+        # a comment runs to the end of its line and also ends a token
+        tokens = re.sub(rb"#[^\n]*", b" ", data[pos:]).split()
+        if len(tokens) < count:
+            raise ValueError("truncated PGM raster")
         try:
-            for _ in range(count):
-                values.append(int(next_token()))
+            pixels = np.array(list(map(int, tokens[:count])), dtype=np.int64)
         except ValueError:
             raise ValueError("truncated PGM raster") from None
-        pixels = np.array(values, dtype=np.int64)
     if np.any(pixels > maxval) or np.any(pixels < 0):
         raise ValueError("pixel value exceeds maxval")
     return pixels.reshape(height, width), maxval

@@ -67,15 +67,10 @@ def random_monotone_fractional(rng, depth_l):
     return z
 
 
-def reference_lp_objective(inc, d_hat):
-    """Relaxed min-rate optimum from a general LP solver, for cross-checks.
-
-    One relevance row plus one precedence row z_child - z_parent <= 0 per
-    parent/child candidate pair, solved by HiGHS dual simplex; skips the
-    calling test when scipy is missing.  At the full floor HiGHS can call the
-    relevance row infeasible by rounding, so there the row is replaced by its
-    exact equivalent: every candidate with delta_y > 0 is fixed to 1.
-    """
+def _reference_lp(inc, cost, row, rhs, lower):
+    """min cost.z s.t. row.z <= rhs, z_child - z_parent <= 0 for every
+    parent/child candidate pair and lower <= z <= 1, by HiGHS dual simplex;
+    skips the calling test when scipy is missing."""
     sp = pytest.importorskip("scipy.sparse")
     linprog = pytest.importorskip("scipy.optimize").linprog
     n = inc.num_candidates
@@ -87,17 +82,34 @@ def reference_lp_objective(inc, d_hat):
          (np.concatenate([rows, rows]), np.concatenate([children, parents]))),
         shape=(rows.size, n),
     )
-    a_ub = sp.vstack([sp.csr_matrix(-inc.delta_y[None, :]), prec], format="csr")
+    a_ub = sp.vstack([sp.csr_matrix(row[None, :]), prec], format="csr")
     b_ub = np.zeros(a_ub.shape[0])
-    lower = np.zeros(n)
-    if d_hat >= float(inc.delta_y.sum()):
-        lower[inc.delta_y > 0] = 1.0
-    else:
-        b_ub[0] = -d_hat
-    res = linprog(inc.delta_x, A_ub=a_ub, b_ub=b_ub,
+    b_ub[0] = rhs
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
                   bounds=np.column_stack([lower, np.ones(n)]), method="highs-ds")
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def reference_lp_objective(inc, d_hat):
+    """Relaxed min-rate optimum from a general LP solver, for cross-checks.
+
+    At the full floor HiGHS can call the relevance row infeasible by
+    rounding, so there the row is replaced by its exact equivalent: every
+    candidate with delta_y > 0 is fixed to 1.
+    """
+    lower = np.zeros(inc.num_candidates)
+    if d_hat >= float(inc.delta_y.sum()):
+        lower[inc.delta_y > 0] = 1.0
+        d_hat = 0.0
+    return _reference_lp(inc, inc.delta_x, -inc.delta_y, -d_hat, lower)
+
+
+def reference_pack_lp_objective(inc, budget):
+    """Relaxed max-relevance optimum, max delta_y.z s.t. delta_x.z <= budget,
+    from a general LP solver."""
+    return -_reference_lp(inc, -inc.delta_y, inc.delta_x, budget,
+                          np.zeros(inc.num_candidates))
 
 
 def write_text(path, text):

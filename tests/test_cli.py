@@ -276,6 +276,28 @@ def test_validate_malformed_json_exits_two(quad_pgm, tmp_path, capsys, text):
     assert "error: malformed tree document" in capsys.readouterr().err
 
 
+def test_documented_names_are_reachable_from_the_package():
+    """A submodule name that the package's docstrings mention, or that an
+    exported callable takes as a default, is exported by the package too."""
+    import importlib
+    import inspect
+    import re
+
+    exported = [getattr(iq, name) for name in iq.__all__]
+    docs = (iq.__doc__ or "") + "".join(inspect.getdoc(obj) or "" for obj in exported)
+    defaults = [p.default for obj in exported
+                if inspect.isfunction(obj)
+                for p in inspect.signature(obj).parameters.values()]
+    for module in ("increments", "infotheory", "pareto", "quadtree", "relaxation",
+                   "solver", "world"):
+        mod = importlib.import_module(f"infoquad.{module}")
+        for name in mod.__all__:
+            value = getattr(mod, name)
+            if re.search(rf"\b{name}\b", docs) or any(d is value for d in defaults):
+                assert name in iq.__all__ and getattr(iq, name) is value, name
+    assert iq.trace_pareto.__defaults__[0] == iq.DEFAULT_EPS_STEP
+
+
 def test_import_does_not_load_scipy():
     # scipy is a test-only dependency; importing it costs most of the CLI's
     # start-up time and memory

@@ -1,9 +1,12 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
 import infoquad as iq
-from infoquad.solver import _lattice_for
-from helpers import quadrant_world, random_world
+from infoquad.solver import _ladder, _lattice_for, _parametric_dual
+from helpers import quadrant_world, random_world, reference_pack_lp_objective
 
 LN2 = 0.6931471805599453
 QUAD_I_XY = 0.37677016125643675
@@ -209,3 +212,68 @@ def test_depth_zero_world():
     assert result.status == "optimal" and result.objective == 0.0
     assert iq.solve_min_rate(inc, 0.5).status == "infeasible"
     assert iq.solve_max_relevance(inc, 1.0).objective == 0.0
+
+
+@pytest.mark.parametrize("uniform_prior", [True, False], ids=["uniform", "weighted"])
+@pytest.mark.parametrize("depth_l", [1, 2, 3, 4, 5])
+def test_parametric_dual_values_are_lp_optima(depth_l, uniform_prior):
+    """At its Newton multiplier the covering dual equals the relaxed min-rate
+    optimum and the packing dual the relaxed max-relevance optimum."""
+    rng = np.random.default_rng(90 + 2 * depth_l + uniform_prior)
+    for _ in range(2):
+        world = random_world(rng, depth_l, uniform_prior=uniform_prior,
+                             zero_prior=not uniform_prior)
+        inc = iq.compute_increments(world)
+        a, b = inc.delta_x, inc.delta_y
+        total_x, total_y = float(a.sum()), float(b.sum())
+        for frac in (0.0, 0.05, 0.3, 0.5, 0.77, 0.999, 1.0):
+            d_hat = frac * total_y
+            lam, cover, _, _ = _parametric_dual(a, b, d_hat, -1, depth_l)
+            assert lam >= 0.0
+            assert cover == pytest.approx(iq.solve_lp_relaxation(inc, d_hat)[1], abs=1e-9)
+            budget = frac * total_x
+            lam, pack, _, _ = _parametric_dual(b, a, budget, +1, depth_l)
+            assert lam >= 0.0
+            assert pack == pytest.approx(reference_pack_lp_objective(inc, budget), abs=1e-9)
+
+
+def test_ladder_root_bound_never_beats_the_exact_optimum():
+    rng = np.random.default_rng(91)
+    for trial in range(16):
+        depth_l = 1 + trial % 3
+        inc = iq.compute_increments(random_world(
+            rng, depth_l, uniform_prior=trial % 4 == 0, zero_prior=trial % 4 == 1))
+        a, b = inc.delta_x, inc.delta_y
+        total_x, total_y = float(a.sum()), float(b.sum())
+        for frac in (0.1, 0.4, 0.7, 0.95, 1.0):
+            d_hat = frac * total_y
+            if d_hat > iq.TOL:
+                exact = iq.brute_force_solve(inc, "min-rate", d_hat).objective
+                assert _ladder(a, b, d_hat - iq.TOL, -1, depth_l).root_bound <= exact + 1e-12
+            budget = frac * total_x
+            exact = iq.brute_force_solve(inc, "max-relevance", budget).objective
+            assert _ladder(b, a, budget + iq.TOL, +1, depth_l).root_bound >= exact - 1e-12
+
+
+def test_search_restores_the_recursion_limit():
+    rng = np.random.default_rng(92)
+    inc = iq.compute_increments(random_world(rng, 4, uniform_prior=False))
+    d_hat = 0.9 * float(inc.delta_y.sum())
+    # a first solve at the usual limit also runs numpy's lazy imports, which
+    # nest deeper than the search itself
+    result = iq.solve_min_rate(inc, d_hat)
+    # the search reached the optimum's leaf, one frame per decided candidate
+    assert result.nodes_explored > 0 and 4 * result.selection.num_selected > 40
+    saved = sys.getrecursionlimit()
+    low = len(inspect.stack(0)) + 40
+    sys.setrecursionlimit(low)
+    try:
+        again = iq.solve_min_rate(inc, d_hat)
+        after_solve = sys.getrecursionlimit()
+        with pytest.raises(iq.ResourceLimitExceeded):
+            iq.solve_min_rate(inc, d_hat, node_limit=50)
+        after_raise = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(saved)
+    assert after_solve == after_raise == low
+    assert np.array_equal(again.selection.z, result.selection.z)

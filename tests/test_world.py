@@ -102,6 +102,27 @@ def test_load_pgm_header_comments(tmp_path):
     assert world.side == 2
 
 
+def test_load_pgm_comment_inside_raster_token(tmp_path):
+    path = tmp_path / "split.pgm"
+    write_text(path, "P2\n2 2\n255\n12#c 99\n3 4 5 6 # trailing 7\n")
+    pixels, maxval = _read_pgm(path)
+    assert maxval == 255
+    assert pixels.tolist() == [[12, 3], [4, 5]]  # the comment ends "12"; extra tokens ignored
+
+
+def test_load_pgm_comment_hides_raster_tail(tmp_path):
+    path = tmp_path / "short.pgm"
+    write_text(path, "P2\n2 2\n255\n0 0 0 # 0\n")
+    with pytest.raises(ValueError, match="truncated PGM raster"):
+        iq.load_pgm(path)
+    write_text(path, "P2\n2 2\n255\n0 0 x 0\n")
+    with pytest.raises(ValueError, match="truncated PGM raster"):
+        iq.load_pgm(path)
+    write_text(path, "P2\n2 2\n255\n0 0 256 0\n")
+    with pytest.raises(ValueError, match="pixel value exceeds maxval"):
+        iq.load_pgm(path)
+
+
 def test_pgm_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     for maxval in (7, 255, 65535):
