@@ -19,7 +19,7 @@ import numpy as np
 
 from .increments import compute_increments, tree_information, write_increments_csv
 from .pareto import DEFAULT_EPS_STEP, trace_pareto, write_pareto_csv
-from .quadtree import MalformedTreeDocument, candidate_at, read_tree_json, write_tree_json
+from .quadtree import MalformedTreeDocument, _coordinates, read_tree_json, write_tree_json
 from .relaxation import round_selection, solve_lp_relaxation
 from .solver import (
     DEFAULT_NODE_LIMIT,
@@ -146,9 +146,9 @@ def cmd_relax(args) -> int:
         with open(args.frac_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["depth", "morton", "z_frac"])
-            for i, v in enumerate(zfrac.values):
-                node = candidate_at(i)
-                writer.writerow([node.depth, node.morton, _fmt(float(v))])
+            values = zfrac.values
+            depths, mortons = _coordinates(np.arange(values.size), world.depth_l)
+            writer.writerows(zip(depths.tolist(), mortons.tolist(), map(_fmt, values.tolist())))
     print(f"lp_objective: {_fmt(lp_objective)} nats")
     print(f"i_x: {_fmt(i_x)} nats")
     print(f"i_y: {_fmt(i_y)} nats")

@@ -138,7 +138,8 @@ class TreeSelection:
         return 1 + 3 * self.num_selected
 
     def selected_nodes(self) -> list[NodeId]:
-        return [candidate_at(int(i)) for i in np.flatnonzero(self.z)]
+        depths, mortons = _coordinates(np.flatnonzero(self.z), self.depth_l)
+        return list(map(NodeId, depths.tolist(), mortons.tolist()))
 
     def __eq__(self, other):
         return isinstance(other, TreeSelection) and np.array_equal(self.z, other.z)
@@ -178,13 +179,35 @@ def _as_z(selection, depth_l=None) -> np.ndarray:
 
 def is_valid_selection(selection, depth_l: int) -> bool:
     """True iff z[child] <= z[parent] for every parent/child candidate pair."""
-    z = _as_z(selection, depth_l)
+    return _first_violation(_as_z(selection, depth_l), depth_l) is None
+
+
+def _first_violation(z: np.ndarray, depth_l: int) -> tuple[int, int] | None:
+    """(depth, morton) of the first child selected without its parent, or None."""
     for d in range(1, depth_l):
         parents = z[depth_offset(d - 1):depth_offset(d)]
         children = z[depth_offset(d):depth_offset(d + 1)]
-        if np.any(children > np.repeat(parents, 4)):
-            return False
-    return True
+        bad = np.flatnonzero(children > np.repeat(parents, 4))
+        if bad.size:
+            return d, int(bad[0])
+    return None
+
+
+def _coordinates(indices: np.ndarray, depth_l: int) -> tuple[np.ndarray, np.ndarray]:
+    """(depth, morton) arrays of candidate indices below num_candidates(depth_l)."""
+    offsets = depth_offset(np.arange(depth_l + 1))
+    depths = np.searchsorted(offsets, indices, side="right") - 1
+    return depths, indices - offsets[depths]
+
+
+def _leaf_depths(z: np.ndarray, depth_l: int) -> np.ndarray:
+    """Depth of the leaf covering each finest cell, Morton-ordered: in a valid
+    selection, the number of the cell's ancestors that are selected."""
+    cells = np.arange(4 ** depth_l)
+    depths = np.zeros(cells.size, dtype=np.int64)
+    for d in range(depth_l):
+        depths += z[depth_offset(d) + (cells >> 2 * (depth_l - d))]
+    return depths
 
 
 def leaf_spans(selection: TreeSelection) -> list[tuple[NodeId, int, int]]:
@@ -197,18 +220,11 @@ def leaf_spans(selection: TreeSelection) -> list[tuple[NodeId, int, int]]:
     depth_l = depth_from_candidate_count(z.size)
     if not is_valid_selection(z, depth_l):
         raise ValueError("invalid selection: child selected without its parent")
-    n = z.size
-    spans = []
-    stack = [NodeId(0, 0)]
-    while stack:
-        node = stack.pop()
-        idx = candidate_index(node)
-        if node.depth < depth_l and z[idx]:
-            stack.extend(reversed(node.children()))
-        else:
-            width = 4 ** (depth_l - node.depth)
-            spans.append((node, node.morton * width, (node.morton + 1) * width))
-    return spans
+    depths = _leaf_depths(z, depth_l)
+    widths = 4 ** (depth_l - depths)
+    lo = np.flatnonzero(np.arange(depths.size) % widths == 0)
+    return [(NodeId(d, s // w), s, s + w)
+            for d, s, w in zip(depths[lo].tolist(), lo.tolist(), widths[lo].tolist())]
 
 
 def leaves_of(selection: TreeSelection) -> set[NodeId]:
@@ -218,11 +234,9 @@ def leaves_of(selection: TreeSelection) -> set[NodeId]:
 
 def encoder_of(selection: TreeSelection) -> list[NodeId]:
     """Deterministic encoder: finest cell (by Morton index) -> containing leaf."""
-    z = _as_z(selection)
-    depth_l = depth_from_candidate_count(z.size)
-    mapping: list[NodeId] = [None] * (4 ** depth_l)
+    mapping: list[NodeId] = []
     for node, lo, hi in leaf_spans(selection):
-        mapping[lo:hi] = [node] * (hi - lo)
+        mapping += [node] * (hi - lo)
     return mapping
 
 
@@ -267,9 +281,10 @@ def morton_permutation(depth_l: int) -> np.ndarray:
 
 def tree_to_json(selection: TreeSelection, i_x_nats: float, i_y_nats: float) -> dict:
     """Tree document: selected nodes in canonical order plus its information pair."""
+    depths, mortons = _coordinates(np.flatnonzero(selection.z), selection.depth_l)
     return {
         "depth_l": selection.depth_l,
-        "selected": [[n.depth, n.morton] for n in selection.selected_nodes()],
+        "selected": list(map(list, zip(depths.tolist(), mortons.tolist()))),
         "leaf_count": selection.leaf_count,
         "i_x_nats": float(i_x_nats),
         "i_y_nats": float(i_y_nats),
@@ -277,9 +292,15 @@ def tree_to_json(selection: TreeSelection, i_x_nats: float, i_y_nats: float) -> 
 
 
 def write_tree_json(path, selection: TreeSelection, i_x_nats: float, i_y_nats: float):
+    """Write the tree document; the bytes are json.dump(doc, indent=1) plus a newline."""
+    doc = tree_to_json(selection, i_x_nats, i_y_nats)
+    # json's indented encoder is pure Python: it writes the short frame, and
+    # the node list, one entry per selected node, is formatted here
+    nodes = ",\n".join(f"  [\n   {d},\n   {m}\n  ]" for d, m in doc["selected"])
+    selected = f"[\n{nodes}\n ]" if nodes else "[]"
+    frame = json.dumps({**doc, "selected": 0}, indent=1)
     with open(path, "w") as fh:
-        json.dump(tree_to_json(selection, i_x_nats, i_y_nats), fh, indent=1)
-        fh.write("\n")
+        fh.write(frame.replace('"selected": 0,', f'"selected": {selected},', 1) + "\n")
 
 
 class MalformedTreeDocument(ValueError):
@@ -326,14 +347,21 @@ def read_tree_json(path, depth_l: int | None = None) -> tuple[TreeSelection, dic
             f"tree depth_l {doc['depth_l']} does not match map depth_l {depth_l}"
         )
     depth_l = doc["depth_l"]
-    nodes = [NodeId(d, m) for d, m in doc["selected"]]
-    selection = selection_from_nodes(depth_l, nodes)
-    if not is_valid_selection(selection, depth_l):
-        bad = _first_violation(selection.z, depth_l)
+    # checked on the Python ints, depth first: a hostile depth or Morton index
+    # never reaches a power, an int64 conversion or an allocation
+    for d, m in doc["selected"]:
+        if not (0 <= d < depth_l and 0 <= m < 4 ** d):
+            raise ValueError(f"node (depth={d}, morton={m}) out of range for depth_l={depth_l}")
+    nodes = np.array(doc["selected"], dtype=np.int64).reshape(-1, 2)
+    z = np.zeros(num_candidates(depth_l), dtype=np.uint8)
+    z[depth_offset(nodes[:, 0]) + nodes[:, 1]] = 1
+    selection = TreeSelection(z)
+    bad = _first_violation(z, depth_l)
+    if bad is not None:
+        d, m = bad
         raise ValueError(
-            "tree document is not a valid selection: node "
-            f"(depth={bad[1].depth}, morton={bad[1].morton}) selected without its "
-            f"parent (depth={bad[0].depth}, morton={bad[0].morton})"
+            f"tree document is not a valid selection: node (depth={d}, morton={m}) "
+            f"selected without its parent (depth={d - 1}, morton={m >> 2})"
         )
     if doc["leaf_count"] != selection.leaf_count:
         raise ValueError(
@@ -341,15 +369,3 @@ def read_tree_json(path, depth_l: int | None = None) -> tuple[TreeSelection, dic
             f"selection ({selection.leaf_count})"
         )
     return selection, doc
-
-
-def _first_violation(z: np.ndarray, depth_l: int) -> tuple[NodeId, NodeId]:
-    """First (parent, child) pair with z[child] > z[parent], canonical order."""
-    for d in range(1, depth_l):
-        parents = z[depth_offset(d - 1):depth_offset(d)]
-        children = z[depth_offset(d):depth_offset(d + 1)]
-        bad = np.flatnonzero(children > np.repeat(parents, 4))
-        if bad.size:
-            m = int(bad[0])
-            return NodeId(d - 1, m >> 2), NodeId(d, m)
-    raise ValueError("selection has no precedence violation")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadtree import TreeSelection, leaf_spans, morton_permutation
+from .quadtree import TreeSelection, _leaf_depths, is_valid_selection, morton_permutation
 
 __all__ = [
     "WorldMap",
@@ -160,14 +160,16 @@ def write_pgm(path, world: WorldMap, invert: bool = True):
         raise ValueError("PGM output requires a binary relevance alphabet")
     p1 = world.cell_relevance[:, 1]
     level = (1.0 - p1) if invert else p1
-    grays = np.rint(world.maxval * level).astype(np.int64)
+    _write_p2(path, world, np.rint(world.maxval * level).astype(np.int64), world.maxval)
+
+
+def _write_p2(path, world: WorldMap, grays: np.ndarray, maxval: int):
+    """Write the world's Morton-ordered gray levels as an ASCII (P2) PGM."""
     grid = np.empty(world.num_cells, dtype=np.int64)
     grid[morton_permutation(world.depth_l)] = grays
-    grid = grid.reshape(world.side, world.side)
+    rows = "\n".join(" ".join(map(str, row)) for row in grid.reshape(world.side, -1).tolist())
     with open(path, "w") as fh:
-        fh.write(f"P2\n{world.side} {world.side}\n{world.maxval}\n")
-        for row in grid:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        fh.write(f"P2\n{world.side} {world.side}\n{maxval}\n{rows}\n")
 
 
 def load_pgm(path, invert: bool = True) -> WorldMap:
@@ -282,20 +284,22 @@ def render_abstraction(path, world: WorldMap, selection: TreeSelection, maxval=N
             f"selection depth_l {selection.depth_l} does not match world {world.depth_l}"
         )
     maxval = world.maxval if maxval is None else int(maxval)
+    if not is_valid_selection(selection, world.depth_l):
+        raise ValueError("invalid selection: child selected without its parent")
+    leaf_depths = _leaf_depths(selection.z, world.depth_l)
+    # The leaves of depth d are rows of (blocks, width) views, reduced row by
+    # row as one leaf range would be.  The dot products run on the strided
+    # relevance column, not on a copy, so means that land exactly on a half
+    # gray level round the same way as those of a per-leaf loop.
     p1 = world.cell_relevance[:, 1]
     fill = np.empty(world.num_cells, dtype=np.float64)
-    for _, lo, hi in leaf_spans(selection):
-        mass = world.cell_prior[lo:hi].sum()
-        if mass > 0:
-            value = float(world.cell_prior[lo:hi] @ p1[lo:hi]) / mass
-        else:
-            value = float(p1[lo:hi].mean())
-        fill[lo:hi] = value
-    grays = np.rint(maxval * (1.0 - fill)).astype(np.int64)
-    grid = np.empty(world.num_cells, dtype=np.int64)
-    grid[morton_permutation(world.depth_l)] = grays
-    grid = grid.reshape(world.side, world.side)
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{world.side} {world.side}\n{maxval}\n")
-        for row in grid:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+    for d in range(world.depth_l + 1):
+        width = 4 ** (world.depth_l - d)
+        leaves = np.flatnonzero(leaf_depths[::width] == d)
+        prior, rel = world.cell_prior.reshape(-1, 1, width), p1.reshape(-1, width, 1)
+        mass = prior.sum(axis=2)[leaves, 0]
+        dot = (prior @ rel)[leaves, 0, 0]
+        mean = rel.mean(axis=1)[leaves, 0]
+        value = np.where(mass > 0, dot / np.where(mass > 0, mass, 1.0), mean)
+        fill.reshape(-1, width)[leaves] = value[:, None]
+    _write_p2(path, world, np.rint(maxval * (1.0 - fill)).astype(np.int64), maxval)

@@ -1,5 +1,7 @@
 """Shared world builders and random generators for the test suite."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,84 @@ def reference_reconstruct(lattice, k_target):
         stack += [(d + 1, 4 * m, j0), (d + 1, 4 * m + 1, j12 - j0),
                   (d + 1, 4 * m + 2, j2), (d + 1, 4 * m + 3, j_all - j12 - j2)]
     return z
+
+
+# Hand-made depth-2 tree documents: (selected, leaf_count, the exception
+# read_tree_json raises, the exit code of validate against a 4x4 map).  The
+# exceptions and codes are the ones of the reader that built a NodeId per entry.
+READER_CASES = {
+    "bool-entry": ([[True, 0]], 4, iq.MalformedTreeDocument, 2),
+    "negative-depth": ([[-1, 0]], 4, ValueError, 1),
+    "negative-morton": ([[0, -1]], 4, ValueError, 1),
+    "morton-out-of-range": ([[0, 0], [1, 4]], 7, ValueError, 1),
+    "morton-beyond-int64": ([[0, 2**70]], 4, ValueError, 1),
+    "node-at-depth-l": ([[0, 0], [2, 0]], 7, ValueError, 1),
+    "hostile-depth": ([[40_000_000, 0]], 4, ValueError, 1),
+    "duplicate-node": ([[0, 0], [0, 0]], 4, None, 1),  # read fine; stale information
+    "orphan-child": ([[1, 0]], 4, ValueError, 1),
+    "wrong-leaf-count": ([[0, 0]], 3, ValueError, 1),
+}
+
+
+def reader_case_document(selected, leaf_count):
+    return json.dumps({"depth_l": 2, "selected": selected, "leaf_count": leaf_count,
+                       "i_x_nats": 0.0, "i_y_nats": 0.0})
+
+
+def reference_leaf_spans(selection):
+    """Leaves of a valid selection with their Morton ranges, by a depth-first
+    walk over NodeIds.  The reference for the vectorized leaf_spans."""
+    from infoquad.quadtree import NodeId, candidate_index
+
+    depth_l = selection.depth_l
+    spans, stack = [], [NodeId(0, 0)]
+    while stack:
+        node = stack.pop()
+        if node.depth < depth_l and selection.z[candidate_index(node)]:
+            stack.extend(reversed(node.children()))
+        else:
+            width = 4 ** (depth_l - node.depth)
+            spans.append((node, node.morton * width, (node.morton + 1) * width))
+    return spans
+
+
+def reference_render(path, world, selection, maxval=None):
+    """render_abstraction one leaf at a time, writing one pixel at a time.
+    The reference for the per-depth render."""
+    from infoquad.quadtree import morton_permutation
+
+    maxval = world.maxval if maxval is None else int(maxval)
+    p1 = world.cell_relevance[:, 1]
+    fill = np.empty(world.num_cells, dtype=np.float64)
+    for _, lo, hi in reference_leaf_spans(selection):
+        mass = world.cell_prior[lo:hi].sum()
+        if mass > 0:
+            value = float(world.cell_prior[lo:hi] @ p1[lo:hi]) / mass
+        else:
+            value = float(p1[lo:hi].mean())
+        fill[lo:hi] = value
+    grays = np.rint(maxval * (1.0 - fill)).astype(np.int64)
+    grid = np.empty(world.num_cells, dtype=np.int64)
+    grid[morton_permutation(world.depth_l)] = grays
+    with open(path, "w") as fh:
+        fh.write(f"P2\n{world.side} {world.side}\n{maxval}\n")
+        for row in grid.reshape(world.side, world.side):
+            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+
+
+def reference_write_tree_json(path, selection, i_x_nats, i_y_nats):
+    """The tree document through candidate_at and json.dump(indent=1).  The
+    reference for the direct writer."""
+    from infoquad.quadtree import candidate_at
+
+    nodes = [candidate_at(int(i)) for i in np.flatnonzero(selection.z)]
+    doc = {
+        "depth_l": selection.depth_l,
+        "selected": [[n.depth, n.morton] for n in nodes],
+        "leaf_count": selection.leaf_count,
+        "i_x_nats": float(i_x_nats),
+        "i_y_nats": float(i_y_nats),
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")

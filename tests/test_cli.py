@@ -10,7 +10,7 @@ import pytest
 
 import infoquad as iq
 from infoquad.cli import main
-from helpers import write_text
+from helpers import READER_CASES, reader_case_document, write_text
 
 
 @pytest.fixture()
@@ -205,6 +205,19 @@ def test_relax_command(quad_pgm, tmp_path, capsys):
     assert len(lines) == 6
 
 
+def test_relax_frac_csv_columns_are_candidate_coordinates(tmp_path):
+    rng = np.random.default_rng(5)
+    pgm = tmp_path / "noise.pgm"
+    grays = rng.integers(0, 256, (16, 16))
+    write_text(pgm, "P2\n16 16\n255\n" + "\n".join(" ".join(map(str, r)) for r in grays.tolist()))
+    frac_csv = tmp_path / "frac.csv"
+    assert main(["relax", "--input", str(pgm), "--dhat", "0.05", "--frac-csv", str(frac_csv)]) == 0
+    rows = [line.split(",") for line in frac_csv.read_text().splitlines()[1:]]
+    assert [(int(d), int(m)) for d, m, _ in rows] == [
+        (n.depth, n.morton) for n in map(iq.quadtree.candidate_at, range(85))
+    ]
+
+
 def test_relax_infeasible_exits_one(quad_pgm, capsys):
     assert main(["relax", "--input", str(quad_pgm), "--dhat", "9.9"]) == 1
 
@@ -257,6 +270,30 @@ def test_validate_rejects_deeper_document_before_allocating(flat_pgm, tmp_path, 
     assert code == 1
     assert "tree depth_l 14 does not match map depth_l 1" in capsys.readouterr().err
     assert peak < 4 * 2**20
+
+
+def test_validate_hostile_node_depth_takes_no_power(flat_pgm, tmp_path, capsys):
+    # 4 ** 40_000_000 alone is an 80-million-bit integer
+    doc = tmp_path / "hostile.json"
+    doc.write_text('{"depth_l": 1, "selected": [[40000000, 0]], "leaf_count": 4,'
+                   ' "i_x_nats": 0.0, "i_y_nats": 0.0}')
+    tracemalloc.start()
+    try:
+        code = main(["validate", "--tree", str(doc), "--input", str(flat_pgm)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 2**20
+    assert "inconsistent: node (depth=40000000, morton=0) out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_validate_exit_codes_of_hand_made_documents(quad_pgm, tmp_path, case):
+    selected, leaf_count, _, code = READER_CASES[case]
+    doc = tmp_path / "doc.json"
+    doc.write_text(reader_case_document(selected, leaf_count))
+    assert main(["validate", "--tree", str(doc), "--input", str(quad_pgm)]) == code
 
 
 _TREE_FIELDS = b'"depth_l": 2, "leaf_count": 4, "i_x_nats": 0.0, "i_y_nats": 0.0'

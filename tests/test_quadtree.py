@@ -15,7 +15,13 @@ from infoquad.quadtree import (
     read_tree_json,
     write_tree_json,
 )
-from helpers import random_valid_selection
+from helpers import (
+    READER_CASES,
+    random_valid_selection,
+    reader_case_document,
+    reference_leaf_spans,
+    reference_write_tree_json,
+)
 
 
 def test_node_children_are_consecutive_mortons():
@@ -198,3 +204,50 @@ def test_tree_json_rejects_malformed_shape(tmp_path, text, match):
     path.write_text(text)
     with pytest.raises(MalformedTreeDocument, match=match):
         read_tree_json(path)
+
+
+def _selections(rng, depth_l):
+    """The empty and the full selection plus random valid ones at depth_l."""
+    n = (4 ** depth_l - 1) // 3
+    yield TreeSelection(np.zeros(n, np.uint8))
+    yield TreeSelection(np.ones(n, np.uint8))
+    for p_expand in (0.3, 0.6, 0.9):
+        yield random_valid_selection(rng, depth_l, p_expand)
+
+
+@pytest.mark.parametrize("depth_l", range(7))
+def test_leaf_spans_match_the_stack_walk(depth_l):
+    rng = np.random.default_rng(depth_l)
+    for sel in _selections(rng, depth_l):
+        assert leaf_spans(sel) == reference_leaf_spans(sel)
+        assert iq.encoder_of(sel) == [
+            node for node, lo, hi in reference_leaf_spans(sel) for _ in range(lo, hi)
+        ]
+
+
+@pytest.mark.parametrize("depth_l", range(7))
+def test_tree_document_bytes_match_json_dump(tmp_path, depth_l):
+    rng = np.random.default_rng(100 + depth_l)
+    infos = [(0.0, 0.0), (1.25, 0.5), (np.float64(0.1) + 0.2, 1e-17), (3, 2**60 + 0.5)]
+    for k, sel in enumerate(_selections(rng, depth_l)):
+        i_x, i_y = infos[k % len(infos)]
+        write_tree_json(tmp_path / "new.json", sel, i_x, i_y)
+        reference_write_tree_json(tmp_path / "old.json", sel, i_x, i_y)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        loaded, _ = read_tree_json(tmp_path / "new.json", depth_l)
+        assert loaded == sel
+        assert sel.selected_nodes() == [candidate_at(int(i)) for i in np.flatnonzero(sel.z)]
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_tree_reader_rejects_what_it_always_rejected(tmp_path, case):
+    selected, leaf_count, exc, _ = READER_CASES[case]
+    path = tmp_path / "doc.json"
+    path.write_text(reader_case_document(selected, leaf_count))
+    if exc is None:
+        assert read_tree_json(path, 2)[0] == TreeSelection(np.array([1, 0, 0, 0, 0]))
+        return
+    with pytest.raises(exc) as info:
+        read_tree_json(path, 2)
+    if exc is ValueError:
+        assert not isinstance(info.value, MalformedTreeDocument)

@@ -5,7 +5,7 @@ import pytest
 
 import infoquad as iq
 from infoquad.world import _read_pgm, prior_from_weights, write_pgm
-from helpers import random_world, write_text
+from helpers import random_valid_selection, random_world, reference_render, write_text
 
 LN2 = 0.6931471805599453
 
@@ -253,3 +253,45 @@ def test_render_abstraction(tmp_path):
     iq.render_abstraction(path, world, full)
     pixels, _ = _read_pgm(path)
     assert pixels.tolist() == [[0, 0], [255, 255]]
+
+
+def _render_worlds(rng, depth_l):
+    """Maps whose leaf means often land exactly on a half gray level (i.i.d.
+    and 2x2-blocky binary and gray maps, read the way load_pgm reads them),
+    and a blocky prior with zero-weight leaves, which take the fallback."""
+    side = 2 ** depth_l
+    half = max(side // 2, 1)
+
+    def blocky(grid):
+        return np.kron(grid, np.ones((2, 2), dtype=grid.dtype))[:side, :side]
+
+    binary = rng.integers(0, 2, (side, side)) * 255
+    gray = rng.integers(0, 256, (side, side))
+    for grays in (binary, blocky(binary[:half, :half]), gray, blocky(gray[:half, :half])):
+        yield iq.world_from_grid(1.0 - grays / 255)
+    weights = blocky(rng.random((half, half)) * (rng.random((half, half)) < 0.6))
+    weights[0, 0] += 1.0 if not weights.any() else 0.0
+    yield iq.world_from_grid(1.0 - gray / 255, prior_grid=weights)
+
+
+@pytest.mark.parametrize("depth_l", range(7))
+def test_render_matches_the_leaf_by_leaf_render(tmp_path, depth_l):
+    rng = np.random.default_rng(depth_l)
+    n = (4 ** depth_l - 1) // 3
+    for world in _render_worlds(rng, depth_l):
+        # the relevance column is a strided view: the dot products must run on
+        # it, not on a copy, to round the half gray levels the same way
+        assert world.cell_relevance[:, 1].strides == (16,)
+        selections = [iq.TreeSelection(np.zeros(n, np.uint8)), iq.TreeSelection(np.ones(n, np.uint8))]
+        selections += [random_valid_selection(rng, depth_l, p) for p in (0.5, 0.8)]
+        for sel in selections:
+            for maxval in (None, 1000):
+                iq.render_abstraction(tmp_path / "new.pgm", world, sel, maxval)
+                reference_render(tmp_path / "old.pgm", world, sel, maxval)
+                assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "old.pgm").read_bytes()
+
+
+def test_render_rejects_invalid_selection(tmp_path):
+    world = iq.world_from_grid(np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="invalid selection"):
+        iq.render_abstraction(tmp_path / "r.pgm", world, iq.TreeSelection(np.array([0, 1, 0, 0, 0])))
