@@ -56,7 +56,8 @@ class NodeId:
     def __post_init__(self):
         if self.depth < 0:
             raise ValueError(f"negative depth: {self.depth}")
-        if not 0 <= self.morton < 4 ** self.depth:
+        # a shift, not 4 ** depth: a hostile depth costs no power
+        if self.morton < 0 or self.morton >> 2 * self.depth:
             raise ValueError(
                 f"morton index {self.morton} out of range for depth {self.depth}"
             )
@@ -325,13 +326,15 @@ _TREE_FIELDS = (("depth_l", _is_int), ("selected", _is_node_list), ("leaf_count"
                 ("i_x_nats", _is_finite), ("i_y_nats", _is_finite))
 
 
-def read_tree_json(path, depth_l: int | None = None) -> tuple[TreeSelection, dict]:
-    """Load and validate a tree document; rejects invalid selections.
+def read_tree_json(path, depth_l: int) -> tuple[TreeSelection, dict]:
+    """Load and validate a tree document for a map of depth depth_l; rejects
+    invalid selections.
 
     A document of the wrong shape raises MalformedTreeDocument, a subclass of
     the ValueError raised for a well-formed one that is not a valid tree.
-    Given depth_l (the map's depth), a document of another depth raises
-    ValueError before its selection, which grows as 4^depth, is allocated.
+    A document of another depth than depth_l raises ValueError before its
+    selection, which grows as 4^depth, is allocated, so the document's own
+    depth never sizes an allocation.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -342,11 +345,10 @@ def read_tree_json(path, depth_l: int | None = None) -> tuple[TreeSelection, dic
             raise MalformedTreeDocument(f"tree document missing key {key!r}")
         if not well_formed(doc[key]):
             raise MalformedTreeDocument(f"tree document has a malformed {key!r}")
-    if depth_l is not None and doc["depth_l"] != depth_l:
+    if doc["depth_l"] != depth_l:
         raise ValueError(
             f"tree depth_l {doc['depth_l']} does not match map depth_l {depth_l}"
         )
-    depth_l = doc["depth_l"]
     # checked on the Python ints, depth first: a hostile depth or Morton index
     # never reaches a power, an int64 conversion or an allocation
     for d, m in doc["selected"]:

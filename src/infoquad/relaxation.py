@@ -20,8 +20,7 @@ import numpy as np
 
 from .increments import IncrementVectors
 from .quadtree import TreeSelection, depth_from_candidate_count, depth_offset
-from .solver import (TOL, SolveResult, _FLOOR_SLACK, _MIN_RATE, _parametric_dual,
-                     _result_from_z)
+from .solver import TOL, SolveResult, _FLOOR_SLACK, _parametric_dual, _result_from_z
 
 __all__ = [
     "FractionalSelection",
@@ -74,7 +73,7 @@ def solve_lp_relaxation(inc: IncrementVectors, d_hat: float) -> tuple[Fractional
     if n == 0 or d_hat <= _FLOOR_SLACK * max(total, 1.0):
         return FractionalSelection(np.zeros(n)), 0.0
     depth_l = depth_from_candidate_count(n)
-    _, _, lo, hi = _parametric_dual(inc.delta_x, inc.delta_y, d_hat, -1, depth_l)
+    _, _, lo, hi = _parametric_dual(inc.delta_x, inc.delta_y, d_hat, depth_l)
     y_lo, y_hi = float(inc.delta_y[lo].sum()), float(inc.delta_y[hi].sum())
     theta = min(max((d_hat - y_lo) / (y_hi - y_lo), 0.0), 1.0)
     z = lo + theta * (hi.astype(np.float64) - lo)
@@ -110,5 +109,5 @@ def relax_and_round(inc: IncrementVectors, d_hat: float,
     t0 = time.perf_counter()
     zfrac, _ = solve_lp_relaxation(inc, d_hat)
     selection = round_selection(zfrac, delta)
-    result = _result_from_z(selection.z, inc, _MIN_RATE, 0, t0)
+    result = _result_from_z(selection.z, inc, "min-rate", 0, t0)
     return result, bool(result.i_y >= d_hat - TOL)

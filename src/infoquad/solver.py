@@ -1,6 +1,7 @@
-"""Exact solvers for the two tree-abstraction programs plus a small-world oracle.
+"""Exact solvers for the tree-abstraction programs plus a small-world oracle.
 
-Both programs optimize a linear objective over valid tree selections:
+Each program optimizes a linear objective over valid tree selections under
+one information row:
 
   min-rate        minimize z . delta_x   subject to z . delta_y >= d_hat
   max-relevance   maximize z . delta_y   subject to z . delta_x <= budget
@@ -10,27 +11,32 @@ used by the Pareto trace.  Validity (a child selected only with its parent) is
 built into the search: a candidate is branched on only once its parent is
 selected, so every explored assignment is a tree.
 
-Bounds come from the Lagrangian dual of the single information constraint over
-the tree-validity polytope.  For a fixed multiplier the inner problem is a
-min/max ancestor-closed-subtree weighting, solved in one bottom-up pass.  The
-dual is piecewise linear in the multiplier, and _parametric_dual finds its
-optimum by Newton steps between two bracketing subtrees (the generalized BFOS
-pruning sequence), a few closure passes in all; its value there equals the
-LP-relaxation optimum, and the LP relaxation uses the same routine.  Because
-the duals of the remaining subproblems drift as the search fixes the shallow
-backbone, bounds are evaluated on a geometric ladder of multipliers around the
-root-optimal one (every multiplier gives a valid bound), tabulated in one
-closure pass over all of them; the fractional-knapsack critical ratio is one
-of the ladder anchors, so the per-node bound dominates the plain knapsack
-bound as well.  Per search node the bound update is a single K-vector
-operation.
+Non-uniform priors run every program as one covering search,
 
-Feasibility tolerance is 1e-9 everywhere; ties within it are broken by smaller
-rate, then larger relevance, then the lexicographically smallest selection
-vector.  Rate plateaus are endemic (under a uniform prior all same-depth nodes
-share one rate increment), so inside a rate tie the search additionally bounds
-the achievable relevance and prunes plateau regions that cannot improve the
-tie-break.
+  minimize c . z   subject to need <= g . z <= cap,
+
+with min-rate as (delta_x, delta_y, d_hat, inf), max-relevance as
+(-delta_y, -delta_x, -budget, inf) and the equality band [lo, hi] as
+(-delta_y, -delta_x, -hi, -lo).  Negation is exact in floating point, so each
+program makes the same comparisons as in its direct form.  Bounds come from
+the Lagrangian dual of the row over the tree-validity polytope.  For a fixed
+multiplier lam the inner problem is a minimum-weight ancestor-closed subtree
+of c - lam * g, solved in one bottom-up pass.  The dual is piecewise linear
+in lam, and _parametric_dual finds its optimum by Newton steps between two
+bracketing subtrees (the generalized BFOS pruning sequence), a few closure
+passes in all; its value there equals the LP-relaxation optimum, and the LP
+relaxation uses the same routine.  Because the duals of the remaining
+subproblems drift as the search fixes the shallow backbone, bounds are
+evaluated on a geometric ladder of multipliers around the root-optimal one
+(every multiplier gives a valid bound), tabulated in one closure pass over
+all of them; the fractional-knapsack critical ratio is one of the ladder
+anchors, so the per-node bound dominates the plain knapsack bound as well.
+Per search node the bound update is a single K-vector operation.
+
+Feasibility tolerance is 1e-9 everywhere; ties within it are broken by
+smaller c . z, then larger g . z, then the lexicographically smallest
+selection vector: smaller rate before larger relevance for min-rate, larger
+relevance before smaller rate for the other two.
 
 Uniform priors get a better algorithm entirely.  There every node at depth d
 costs exactly 4^(l-1-d) units of ln(4)/4^(l-1) nats, so the rate objective is
@@ -38,8 +44,7 @@ integer-valued and one bottom-up max-plus convolution per world tabulates the
 maximal relevance at every attainable rate class.  All three programs then
 reduce to table lookups plus a deterministic reconstruction, with no search;
 rate classes are at least ln(4)/4^(l-1) nats apart (3.4e-4 at depth 7), so the
-1e-9 feasibility tolerance never straddles two classes.  The depth-first
-search remains the exact path for non-uniform priors.
+1e-9 feasibility tolerance never straddles two classes.
 """
 
 from __future__ import annotations
@@ -72,10 +77,6 @@ __all__ = [
 TOL = 1e-9
 DEFAULT_NODE_LIMIT = 50_000_000
 
-_MIN_RATE = 0
-_MAX_REL = 1
-_BAND_MAX = 2
-
 _LADDER_SPAN = 10     # multipliers cover anchor * 2^[-span, span]
 _LADDER_STEPS = 29
 # Newton slacks: a subtree within _FLOOR_SLACK of a row's bound keeps the row,
@@ -106,65 +107,62 @@ def _offsets(depth_l: int) -> list[int]:
 
 
 def _subtree_sums(vec: np.ndarray, depth_l: int) -> np.ndarray:
-    """sums[t] = vec summed over t and all of t's descendant candidates."""
+    """sums[..., t] = vec summed over t and all of t's descendant candidates,
+    for a vector or for each row of a matrix."""
     off = _offsets(depth_l)
-    out = vec.astype(np.float64).copy()
+    out = vec.astype(np.float64)
     for d in range(depth_l - 2, -1, -1):
-        out[off[d]:off[d + 1]] += out[off[d + 1]:off[d + 2]].reshape(-1, 4).sum(axis=1)
+        kids = out[..., off[d + 1]:off[d + 2]]
+        out[..., off[d]:off[d + 1]] += kids.reshape(vec.shape[:-1] + (-1, 4)).sum(axis=-1)
     return out
 
 
-def _closure_best(w: np.ndarray, depth_l: int, sign: int) -> np.ndarray:
-    """best[..., t]: extremal weight of ancestor-closed subsets of t's subtree
+def _closure_best(w: np.ndarray, depth_l: int) -> np.ndarray:
+    """best[..., t]: least weight of an ancestor-closed subset of t's subtree
     containing t, for a weight vector w or for each row of a (K, n) matrix."""
     off = _offsets(depth_l)
-    clip = np.minimum if sign < 0 else np.maximum
     best = w.copy()
     for d in range(depth_l - 2, -1, -1):
-        kids = clip(best[..., off[d + 1]:off[d + 2]], 0.0)
+        kids = np.minimum(best[..., off[d + 1]:off[d + 2]], 0.0)
         best[..., off[d]:off[d + 1]] += kids.reshape(w.shape[:-1] + (-1, 4)).sum(axis=-1)
     return best
 
 
-def _closure_mask(best: np.ndarray, depth_l: int, sign: int) -> np.ndarray:
-    """Members of the optimal closure: strict-sign nodes with all ancestors in."""
+def _closure_mask(best: np.ndarray, depth_l: int) -> np.ndarray:
+    """Members of the least-weight closure: negative nodes with all ancestors in."""
     off = _offsets(depth_l)
-    strict = best < 0.0 if sign < 0 else best > 0.0
+    negative = best < 0.0
     mask = np.zeros(best.size, dtype=bool)
     if best.size:
-        mask[0] = strict[0]
+        mask[0] = negative[0]
     for d in range(1, depth_l):
         parents = np.repeat(mask[off[d - 1]:off[d]], 4)
-        mask[off[d]:off[d + 1]] = strict[off[d]:off[d + 1]] & parents
+        mask[off[d]:off[d + 1]] = negative[off[d]:off[d + 1]] & parents
     return mask
 
 
-def _knapsack_ratio_cover(a, b, need) -> float:
-    """Critical price of the fractional covering knapsack min a.u s.t. b.u >= need."""
-    if need <= 0:
-        return 0.0
-    sel = b > 0
+def _knapsack_ratio(c, g, bound) -> float:
+    """Critical price of the fractional covering knapsack min c.u s.t.
+    g.u >= bound, 0 <= u <= 1, for g of one sign: the smallest breakpoint
+    c/g at which the items with c - lam*g < 0 cover the bound.
+
+    The greedy takes items cheapest per unit of |g| first, which is the
+    order in which they turn negative as lam rises (g > 0) or falls (g < 0).
+    The price is the ratio of the item at which its coverage crosses the
+    bound; 0 when the empty selection covers the bound and no item uncovers
+    it, and the last item's ratio when the bound is out of reach.
+    """
+    sel = g != 0
     if not np.any(sel):
         return 0.0
-    ratio = a[sel] / b[sel]
-    order = np.argsort(ratio, kind="stable")
-    cover = np.cumsum(b[sel][order])
-    idx = min(int(np.searchsorted(cover, need)), order.size - 1)
-    return float(ratio[order[idx]])
-
-
-def _knapsack_ratio_pack(a, b, cap) -> float:
-    """Critical price of the fractional packing knapsack max b.u s.t. a.u <= cap."""
-    sel = a > 0
-    if not np.any(sel):
-        return 0.0
-    ratio = b[sel] / a[sel]
-    order = np.argsort(-ratio, kind="stable")
-    usage = np.cumsum(a[sel][order])
-    idx = int(np.searchsorted(usage, cap, side="right"))
-    if idx >= order.size:
-        return 0.0
-    return float(ratio[order[idx]])
+    c, g = c[sel], g[sel]
+    ratio = c / g
+    order = np.argsort(c / np.abs(g), kind="stable")
+    start = 0.0 >= bound
+    cross = np.flatnonzero((np.cumsum(g[order]) >= bound) != start)
+    if cross.size:
+        return float(ratio[order[cross[0]]])
+    return 0.0 if start else float(ratio[order[-1]])
 
 
 class _Ladder:
@@ -184,39 +182,35 @@ class _Ladder:
         self.root_bound = root_bound
 
 
-def _parametric_dual(a, b, bound, sign, depth_l):
-    """Optimal multiplier of the Lagrangian dual of one row over valid selections.
+def _parametric_dual(c, g, bound, depth_l):
+    """Optimal multiplier of the Lagrangian dual of the covering program
+    min c.z s.t. g.z >= bound over valid selections.
 
-    sign -1 is the covering program min a.z s.t. b.z >= bound; sign +1 the
-    packing program max a.z s.t. b.z <= bound, run as the covering program
-    of (-a, -b, -bound).  Each subtree Z gives the dual line
-    lam * (bound - b.Z) + a.Z, and the covering dual is their lower envelope,
-    whose breakpoints are the generalized BFOS pruning sequence (Chou,
-    Lookabaugh & Gray, IEEE Trans. IT 1989).  Newton steps on it start from
-    the empty and the full tree as brackets, lo missing the row and hi
-    keeping it, step to where their lines cross, and stop once the closure
-    there does not lie below them; one closure pass per step.
+    Each subtree Z gives the dual line lam * (bound - g.Z) + c.Z, and the
+    dual is their lower envelope, whose breakpoints are the generalized BFOS
+    pruning sequence (Chou, Lookabaugh & Gray, IEEE Trans. IT 1989).  Newton
+    steps on it start from the empty and the full tree as brackets, lo
+    missing the row and hi keeping it, step to where their lines cross, and
+    stop once the closure there does not lie below them; one closure pass
+    per step.
 
     Returns (lam, value, lo, hi): the multiplier, the dual value evaluated at
     it (a valid bound whatever lam is), and the two bracket masks.  When the
     empty and the full tree both keep the row, lam is 0.
     """
-    if sign > 0:
-        lam, value, lo, hi = _parametric_dual(-a, -b, -bound, -1, depth_l)
-        return lam, -value, lo, hi
-    total = float(b.sum())
+    total = float(g.sum())
     slack = _FLOOR_SLACK * max(abs(total), 1.0)
-    empty = (np.zeros(a.size, dtype=bool), 0.0, 0.0)
-    full = (np.ones(a.size, dtype=bool), float(a.sum()), total)
+    empty = (np.zeros(c.size, dtype=bool), 0.0, 0.0)
+    full = (np.ones(c.size, dtype=bool), float(c.sum()), total)
     (lo, x_lo, y_lo), (hi, x_hi, y_hi) = (full, empty) if bound <= slack else (empty, full)
     if y_lo >= bound - slack:
-        return 0.0, min(float(_closure_best(a, depth_l, -1)[0]), 0.0), lo, hi
-    for _ in range(a.size + 2):
+        return 0.0, min(float(_closure_best(c, depth_l)[0]), 0.0), lo, hi
+    for _ in range(c.size + 2):
         lam = (x_hi - x_lo) / (y_hi - y_lo)
         line = lam * (bound - y_lo) + x_lo
-        best = _closure_best(a - lam * b, depth_l, -1)
-        mask = _closure_mask(best, depth_l, -1)
-        x_c, y_c = float(a[mask].sum()), float(b[mask].sum())
+        best = _closure_best(c - lam * g, depth_l)
+        mask = _closure_mask(best, depth_l)
+        x_c, y_c = float(c[mask].sum()), float(g[mask].sum())
         if lam * (bound - y_c) + x_c >= line - _DUAL_SLACK * (1.0 + abs(x_hi) + lam * abs(y_hi)):
             return lam, lam * bound + min(float(best[0]), 0.0), lo, hi
         if y_c >= bound - slack:
@@ -233,30 +227,23 @@ def _ladder_multipliers(anchors) -> np.ndarray:
     return lams
 
 
-def _ladder(obj, cons, bound, sign, depth_l) -> _Ladder:
-    """Bound ladder over valid selections: a lower bound on the covering
-    program min {obj.z : cons.z >= bound} for sign -1, an upper bound on the
-    packing program max {obj.z : cons.z <= bound} for sign +1.
+def _ladder(c, g, bound, depth_l) -> _Ladder:
+    """Lower-bound ladder of the covering program min {c.z : g.z >= bound}
+    over valid selections.
 
     The multipliers are a geometric grid around the larger of the dual's
     optimal multiplier and the fractional-knapsack critical ratio.  All their
     closures come from one pass over a (K, n) weight matrix, one row per
-    multiplier, so each row sums exactly as a single-vector pass would.
+    multiplier, so each row sums exactly as a single-vector pass would.  The
+    root bound is also at least the sum of the negative entries of c.
     """
-    lam_star, root_bound, _, _ = _parametric_dual(obj, cons, bound, sign, depth_l)
-    if sign < 0:
-        ratio = _knapsack_ratio_cover(obj, cons, bound)
-    else:
-        ratio = _knapsack_ratio_pack(cons, obj, bound)
-    lams = _ladder_multipliers([lam_star, ratio])
-    w = obj - lams[:, None] * cons
-    best = _closure_best(w, depth_l, sign)
-    gain = np.minimum(best, 0.0) if sign < 0 else np.maximum(best, 0.0)
+    lam_star, root_bound, _, _ = _parametric_dual(c, g, bound, depth_l)
+    lams = _ladder_multipliers([lam_star, _knapsack_ratio(c, g, bound)])
+    w = c - lams[:, None] * g
+    best = _closure_best(w, depth_l)
+    gain = np.minimum(best, 0.0)
     at_root = lams * bound + gain[:, 0]
-    if sign < 0:
-        root_bound = max(root_bound, float(at_root.max()), 0.0)
-    else:
-        root_bound = min(root_bound, float(at_root.min()))
+    root_bound = max(root_bound, float(at_root.max()), float(np.minimum(c, 0.0).sum()))
     return _Ladder(lams, gain.T, (best - w - gain).T, root_bound)
 
 
@@ -270,7 +257,7 @@ def _chain_cost(idx, selected, a, b):
     return chain, a[chain].sum(), b[chain].sum()
 
 
-def _seed_cover(a, b, need, depth_l) -> np.ndarray:
+def _seed_cover(a, b, need) -> np.ndarray:
     """Greedy feasible selection for the covering problem: best-ratio chains,
     then a trim pass dropping removable nodes the coverage slack allows."""
     n = a.size
@@ -317,7 +304,7 @@ def _seed_cover(a, b, need, depth_l) -> np.ndarray:
     return z.astype(np.uint8)
 
 
-def _seed_pack(b, a, cap, depth_l) -> np.ndarray:
+def _seed_pack(b, a, cap) -> np.ndarray:
     """Greedy feasible selection for the packing problem: best-ratio chains
     that fit the remaining budget."""
     n = a.size
@@ -345,86 +332,68 @@ def _pack_bits(z) -> bytes:
 
 
 class _Incumbent:
-    __slots__ = ("obj", "ix", "iy", "pack", "z")
+    __slots__ = ("c", "g", "pack", "z")
 
-    def __init__(self, obj, ix, iy, z):
-        self.obj = obj
-        self.ix = ix
-        self.iy = iy
+    def __init__(self, c, g, z):
+        self.c = c
+        self.g = g
         self.pack = _pack_bits(z)
         self.z = np.asarray(z, dtype=np.uint8).copy()
 
 
-def _better_min_rate(fa, fb, pack_fn, inc: _Incumbent) -> bool:
-    if fa < inc.obj - TOL:
+def _better(fc, fg, pack_fn, inc: _Incumbent) -> bool:
+    """Smaller c, then larger g, then the lexicographically smaller selection."""
+    if fc < inc.c - TOL:
         return True
-    if fa > inc.obj + TOL:
+    if fc > inc.c + TOL:
         return False
-    if fb > inc.iy + TOL:
+    if fg > inc.g + TOL:
         return True
-    if fb < inc.iy - TOL:
-        return False
-    return pack_fn() < inc.pack
-
-
-def _better_max(fb, fa, pack_fn, inc: _Incumbent) -> bool:
-    if fb > inc.obj + TOL:
-        return True
-    if fb < inc.obj - TOL:
-        return False
-    if fa < inc.ix - TOL:
-        return True
-    if fa > inc.ix + TOL:
+    if fg < inc.g - TOL:
         return False
     return pack_fn() < inc.pack
 
 
-def _search(mode, a, b, lo_bound, hi_bound, ladder, seed_z, node_limit, depth_l,
-            tie_ladder=None):
-    """Depth-first exact search; returns (incumbent or None, nodes_explored).
+def _search(c, g, need, cap, ladder, seed_z, node_limit, depth_l):
+    """Depth-first exact search of min c.z s.t. need <= g.z <= cap; returns
+    (incumbent or None, nodes_explored).
 
     Candidates are decided in canonical order among the currently available
     ones (children enter the queue only once their parent is selected), the
-    seed's value is branched first, and a subtree is pruned only when its dual
-    bound cannot tie the incumbent within tolerance.  In min-rate mode a
-    second ladder bounds the relevance achievable inside a rate tie.
+    seed's value is branched first, and a subtree is pruned when the
+    undecided candidates cannot bring g.z into the row, or when its dual
+    bound cannot tie the incumbent within tolerance.
     """
-    n = a.size
-    suba = _subtree_sums(a, depth_l).tolist()
-    subb = _subtree_sums(b, depth_l).tolist()
-    aL, bL = a.tolist(), b.tolist()
+    n = c.size
+    # per candidate, the most and the least it can add to g.z and the least
+    # it can add to c.z; alone and summed over its subtree
+    clipped = np.stack([np.maximum(g, 0.0), np.minimum(g, 0.0), np.minimum(c, 0.0)])
+    g_up, g_dn, c_dn = clipped.tolist()
+    sub_g_up, sub_g_dn, sub_c_dn = _subtree_sums(clipped, depth_l).tolist()
+    cL, gL = c.tolist(), g.tolist()
     lam, G, D1 = ladder.lam, ladder.G, ladder.D1
-    if tie_ladder is not None:
-        t_lam, t_G, t_D1 = tie_ladder.lam, tie_ladder.G, tie_ladder.D1
 
     incumbent: list[_Incumbent | None] = [None]
     if seed_z is not None:
-        fa = float(a @ seed_z)
-        fb = float(b @ seed_z)
-        obj = fa if mode == _MIN_RATE else fb
-        incumbent[0] = _Incumbent(obj, fa, fb, seed_z)
+        incumbent[0] = _Incumbent(float(c @ seed_z), float(g @ seed_z), seed_z)
 
     zcur = [0] * n
     pending = [0] if n else []
     seed_first = seed_z.tolist() if seed_z is not None else [0] * n
     nodes = [0]
 
-    def consider(fa, fb):
+    def consider(fc, fg):
+        if fg < need or fg > cap:
+            return
         best = incumbent[0]
-        if mode == _MIN_RATE:
-            if fb < lo_bound:
-                return
-            if best is None or _better_min_rate(fa, fb, lambda: _pack_bits(zcur), best):
-                incumbent[0] = _Incumbent(fa, fa, fb, zcur)
-        else:
-            if mode == _BAND_MAX and fa < lo_bound:
-                return
-            if best is None or _better_max(fb, fa, lambda: _pack_bits(zcur), best):
-                incumbent[0] = _Incumbent(fb, fa, fb, zcur)
+        if best is None or _better(fc, fg, lambda: _pack_bits(zcur), best):
+            incumbent[0] = _Incumbent(fc, fg, zcur)
 
-    def rec(pi, fa, fb, s, sa, sb, t):
+    def rec(pi, fc, fg, s, rest_up, rest_dn, rest_c):
+        # rest_up / rest_dn: the most / least the undecided candidates can
+        # add to g.z; rest_c: the least they can add to c.z
         if pi == len(pending):
-            consider(fa, fb)
+            consider(fc, fg)
             return
         r = pending[pi]
         nodes[0] += 2
@@ -436,70 +405,56 @@ def _search(mode, a, b, lo_bound, hi_bound, ladder, seed_z, node_limit, depth_l,
         first = seed_first[r]
         for v in (first, 1 - first):
             if v:
-                fa2 = fa + aL[r]
-                fb2 = fb + bL[r]
-                s2 = s + D1[r]
-                sa2 = sa - aL[r]
-                sb2 = sb - bL[r]
+                fc2 = fc + cL[r]
+                fg2 = fg + gL[r]
+                up2 = rest_up - g_up[r]
+                dn2 = rest_dn - g_dn[r]
+                c2 = rest_c - c_dn[r]
             else:
-                fa2, fb2 = fa, fb
-                s2 = s - G[r]
-                sa2 = sa - suba[r]
-                sb2 = sb - subb[r]
-            if tie_ladder is not None:
-                t2 = t + t_D1[r] if v else t - t_G[r]
-            else:
-                t2 = t
+                fc2, fg2 = fc, fg
+                up2 = rest_up - sub_g_up[r]
+                dn2 = rest_dn - sub_g_dn[r]
+                c2 = rest_c - sub_c_dn[r]
+            if fg2 + up2 < need or fg2 + dn2 > cap:
+                continue
+            s2 = s + D1[r] if v else s - G[r]
             best = incumbent[0]
-            if mode == _MIN_RATE:
-                if fb2 + sb2 < lo_bound:
+            if best is not None:
+                worst = best.c + TOL
+                if (fc2 + c2 > worst
+                        or fc2 + float((lam * (need - fg2) + s2).max()) > worst):
                     continue
-                if best is not None:
-                    lb = fa2 + float((lam * (lo_bound - fb2) + s2).max())
-                    if lb < fa2:
-                        lb = fa2
-                    if lb > best.obj + TOL:
-                        continue
-                    if tie_ladder is not None and lb >= best.obj - TOL:
-                        # subtree can at best tie the rate; bound its relevance
-                        cap_tie = best.obj + TOL
-                        iy_ub = fb2 + float((t_lam * (cap_tie - fa2) + t2).min())
-                        if iy_ub > fb2 + sb2:
-                            iy_ub = fb2 + sb2
-                        if iy_ub <= best.iy + TOL:
-                            continue
-            else:
-                if fa2 > hi_bound:
-                    continue
-                if mode == _BAND_MAX and fa2 + sa2 < lo_bound:
-                    continue
-                if best is not None:
-                    ub = fb2 + float((lam * (hi_bound - fa2) + s2).min())
-                    if ub > fb2 + sb2:
-                        ub = fb2 + sb2
-                    if ub < best.obj - TOL:
-                        continue
             zcur[r] = v
             saved_len = len(pending)
             if v:
                 child = 4 * r + 1
                 if child + 3 < n:
                     pending.extend((child, child + 1, child + 2, child + 3))
-            rec(pi + 1, fa2, fb2, s2, sa2, sb2, t2)
+            rec(pi + 1, fc2, fg2, s2, up2, dn2, c2)
             del pending[saved_len:]
             zcur[r] = 0
 
     if n:
-        tie0 = t_G[0].copy() if tie_ladder is not None else None
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, 4 * n + 10_000))
         try:
-            rec(0, 0.0, 0.0, G[0].copy(), suba[0], subb[0], tie0)
+            rec(0, 0.0, 0.0, G[0].copy(), sub_g_up[0], sub_g_dn[0], sub_c_dn[0])
         finally:
             sys.setrecursionlimit(limit)
     else:
         consider(0.0, 0.0)
     return incumbent[0], nodes[0]
+
+
+def _solve_covering(c, g, need, cap, seed_z, node_limit, depth_l):
+    """(z, nodes_explored) of min c.z s.t. need <= g.z <= cap: the seed when
+    the root bound certifies it, else the search's optimum; z is None when no
+    selection meets the row."""
+    ladder = _ladder(c, g, need, depth_l)
+    if seed_z is not None and float(c @ seed_z) <= ladder.root_bound + TOL:
+        return seed_z, 0
+    best, nodes = _search(c, g, need, cap, ladder, seed_z, node_limit, depth_l)
+    return (None if best is None else best.z), nodes
 
 
 _NEG = -1e300
@@ -657,12 +612,14 @@ def _lattice_for(inc: IncrementVectors) -> _LatticeDP | None:
     return lattice
 
 
-def _result_from_z(z, inc: IncrementVectors, mode, nodes, t0) -> SolveResult:
+def _result_from_z(z, inc: IncrementVectors, problem, nodes, t0) -> SolveResult:
+    """The result of selection z for problem "min-rate" (objective i_x),
+    "max-relevance" or "equality" (objective i_y)."""
     selection = TreeSelection(np.asarray(z, dtype=np.uint8))
     zf = selection.z.astype(np.float64)
     i_x = float(zf @ inc.delta_x)
     i_y = float(zf @ inc.delta_y)
-    objective = i_x if mode == _MIN_RATE else i_y
+    objective = i_x if problem == "min-rate" else i_y
     return SolveResult(
         selection, i_x, i_y, objective, "optimal", nodes,
         (time.perf_counter() - t0) * 1e3,
@@ -695,23 +652,17 @@ def solve_min_rate(inc: IncrementVectors, d_hat: float,
         return _infeasible_result(inc, t0)
     need = d_hat - TOL
     if need <= 0 or a.size == 0:
-        return _result_from_z(np.zeros(a.size, np.uint8), inc, _MIN_RATE, 0, t0)
+        return _result_from_z(np.zeros(a.size, np.uint8), inc, "min-rate", 0, t0)
     lattice = _lattice_for(inc)
     if lattice is not None:
         hits = np.flatnonzero(lattice.root >= need)
         # summation-order dust can leave the full-coverage class an ulp short
         # of a floor that sits right at the feasibility edge
         k = int(hits[0]) if hits.size else int(np.argmax(lattice.root))
-        return _result_from_z(lattice.reconstruct(k), inc, _MIN_RATE, 0, t0)
-    seed = _seed_cover(a, b, need, depth_l)
-    ladder = _ladder(a, b, need, -1, depth_l)
-    seed_obj = float(a @ seed)
-    if seed_obj <= ladder.root_bound + TOL:
-        return _result_from_z(seed, inc, _MIN_RATE, 0, t0)
-    tie_ladder = _ladder(b, a, seed_obj + TOL, +1, depth_l)
-    best, nodes = _search(_MIN_RATE, a, b, need, np.inf, ladder, seed, node_limit,
-                          depth_l, tie_ladder=tie_ladder)
-    return _result_from_z(best.z, inc, _MIN_RATE, nodes, t0)
+        return _result_from_z(lattice.reconstruct(k), inc, "min-rate", 0, t0)
+    z, nodes = _solve_covering(a, b, need, np.inf, _seed_cover(a, b, need),
+                               node_limit, depth_l)
+    return _result_from_z(z, inc, "min-rate", nodes, t0)
 
 
 def solve_max_relevance(inc: IncrementVectors, budget_d: float,
@@ -726,21 +677,17 @@ def solve_max_relevance(inc: IncrementVectors, budget_d: float,
     a, b = inc.delta_x, inc.delta_y
     depth_l = depth_from_candidate_count(a.size)
     if a.size == 0:
-        return _result_from_z(np.zeros(0, np.uint8), inc, _MAX_REL, 0, t0)
+        return _result_from_z(np.zeros(0, np.uint8), inc, "max-relevance", 0, t0)
     cap = budget_d + TOL
     lattice = _lattice_for(inc)
     if lattice is not None:
         k_cap = min(int((cap / lattice.unit) + 1e-9), lattice.root.size - 1)
         feasible = lattice.root[:k_cap + 1]
         k = int(np.argmax(feasible))  # first maximum: smaller rate on ties
-        return _result_from_z(lattice.reconstruct(k), inc, _MAX_REL, 0, t0)
-    seed = _seed_pack(b, a, cap, depth_l)
-    ladder = _ladder(b, a, cap, +1, depth_l)
-    seed_obj = float(b @ seed)
-    if ladder.root_bound <= seed_obj + TOL:
-        return _result_from_z(seed, inc, _MAX_REL, 0, t0)
-    best, nodes = _search(_MAX_REL, a, b, -np.inf, cap, ladder, seed, node_limit, depth_l)
-    return _result_from_z(best.z, inc, _MAX_REL, nodes, t0)
+        return _result_from_z(lattice.reconstruct(k), inc, "max-relevance", 0, t0)
+    z, nodes = _solve_covering(-b, -a, -cap, np.inf, _seed_pack(b, a, cap),
+                               node_limit, depth_l)
+    return _result_from_z(z, inc, "max-relevance", nodes, t0)
 
 
 def solve_equality_max_relevance(inc: IncrementVectors, d_star: float,
@@ -764,7 +711,7 @@ def solve_equality_max_relevance(inc: IncrementVectors, d_star: float,
     if a.size == 0:
         if abs(d_star) > TOL:
             raise ValueError(f"no valid selection attains rate {d_star!r}")
-        return _result_from_z(np.zeros(0, np.uint8), inc, _BAND_MAX, 0, t0)
+        return _result_from_z(np.zeros(0, np.uint8), inc, "equality", 0, t0)
     lattice = _lattice_for(inc)
     if lattice is not None:
         # the tolerance band around an attained rate contains exactly one class
@@ -775,23 +722,16 @@ def solve_equality_max_relevance(inc: IncrementVectors, d_star: float,
             raise ValueError(
                 f"no valid selection attains rate {d_star!r} within tolerance"
             )
-        return _result_from_z(lattice.reconstruct(k), inc, _BAND_MAX, 0, t0)
+        return _result_from_z(lattice.reconstruct(k), inc, "equality", 0, t0)
     band = TOL
     total_nodes = 0
     while True:
         lo, hi = d_star - band, d_star + band
-        ladder = _ladder(b, a, hi, +1, depth_l)
-        if seed is not None and ladder.root_bound <= float(b @ seed) + TOL:
-            result = _result_from_z(seed, inc, _BAND_MAX, total_nodes, t0)
-        else:
-            best, nodes = _search(_BAND_MAX, a, b, lo, hi, ladder, seed,
-                                  node_limit, depth_l)
-            total_nodes += nodes
-            if best is None:
-                raise ValueError(
-                    f"no valid selection attains rate {d_star!r} within {band!r}"
-                )
-            result = _result_from_z(best.z, inc, _BAND_MAX, total_nodes, t0)
+        z, nodes = _solve_covering(-b, -a, -hi, -lo, seed, node_limit, depth_l)
+        total_nodes += nodes
+        if z is None:
+            raise ValueError(f"no valid selection attains rate {d_star!r} within {band!r}")
+        result = _result_from_z(z, inc, "equality", total_nodes, t0)
         if abs(result.i_x - d_star) <= 1e-12 or band <= 1e-12:
             return result
         band = max(band / 10.0, 1e-12)
@@ -874,7 +814,6 @@ def brute_force_solve(inc: IncrementVectors, problem: str, bound: float) -> Solv
         candidates = candidates[ix[candidates] <= best_obj + TOL]
         best_iy = iy[candidates].max()
         candidates = candidates[iy[candidates] >= best_iy - TOL]
-        mode = _MIN_RATE
     elif problem == "max-relevance":
         if bound < 0:
             raise ValueError(f"negative budget: {bound}")
@@ -884,7 +823,6 @@ def brute_force_solve(inc: IncrementVectors, problem: str, bound: float) -> Solv
         candidates = candidates[iy[candidates] >= best_obj - TOL]
         best_ix = ix[candidates].min()
         candidates = candidates[ix[candidates] <= best_ix + TOL]
-        mode = _MAX_REL
     elif problem == "equality":
         feasible = np.abs(ix - bound) <= TOL
         if not feasible.any():
@@ -894,8 +832,7 @@ def brute_force_solve(inc: IncrementVectors, problem: str, bound: float) -> Solv
         candidates = candidates[iy[candidates] >= best_obj - TOL]
         best_ix = ix[candidates].min()
         candidates = candidates[ix[candidates] <= best_ix + TOL]
-        mode = _BAND_MAX
     else:
         raise ValueError(f"unknown problem kind: {problem!r}")
     winner = min(candidates, key=lambda i: _pack_bits(Z[i]))
-    return _result_from_z(Z[winner], inc, mode, len(Z), t0)
+    return _result_from_z(Z[winner], inc, problem, len(Z), t0)

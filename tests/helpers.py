@@ -114,6 +114,36 @@ def reference_pack_lp_objective(inc, budget):
                           np.zeros(inc.num_candidates))
 
 
+def reference_knapsack_ratio_cover(a, b, need):
+    """Critical price of the fractional covering knapsack min a.u s.t.
+    b.u >= need.  A reference for the covering-form _knapsack_ratio."""
+    if need <= 0:
+        return 0.0
+    sel = b > 0
+    if not np.any(sel):
+        return 0.0
+    ratio = a[sel] / b[sel]
+    order = np.argsort(ratio, kind="stable")
+    cover = np.cumsum(b[sel][order])
+    idx = min(int(np.searchsorted(cover, need)), order.size - 1)
+    return float(ratio[order[idx]])
+
+
+def reference_knapsack_ratio_pack(a, b, cap):
+    """Critical price of the fractional packing knapsack max b.u s.t.
+    a.u <= cap.  A reference for _knapsack_ratio(-b, -a, -cap)."""
+    sel = a > 0
+    if not np.any(sel):
+        return 0.0
+    ratio = b[sel] / a[sel]
+    order = np.argsort(-ratio, kind="stable")
+    usage = np.cumsum(a[sel][order])
+    idx = int(np.searchsorted(usage, cap, side="right"))
+    if idx >= order.size:
+        return 0.0
+    return float(ratio[order[idx]])
+
+
 def write_text(path, text):
     with open(path, "w") as fh:
         fh.write(text)

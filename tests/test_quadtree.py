@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from infoquad.quadtree import (
     morton_deinterleave,
     morton_interleave,
     read_tree_json,
+    selection_from_nodes,
     write_tree_json,
 )
 from helpers import (
@@ -153,6 +156,23 @@ def test_morton_roundtrip():
         assert np.array_equal(rows, r2) and np.array_equal(cols, c2)
 
 
+def test_node_hostile_depth_takes_no_power():
+    # 4 ** 40_000_000 alone is an 80-million-bit integer
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="not an interior candidate"):
+            selection_from_nodes(2, [NodeId(40_000_000, 0)])
+        with pytest.raises(ValueError, match="out of range"):
+            NodeId(40_000_000, -1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert NodeId(3, 63).morton == 63
+    with pytest.raises(ValueError, match="out of range"):
+        NodeId(3, 64)
+
+
 def test_morton_quadrant_layout():
     # depth-1 child k covers the quadrant with row bit = k>>1, col bit = k&1
     m = morton_interleave(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), 1)
@@ -163,7 +183,7 @@ def test_tree_json_roundtrip(tmp_path):
     sel = TreeSelection(np.array([1, 1, 0, 0, 0], np.uint8))
     path = tmp_path / "tree.json"
     write_tree_json(path, sel, 1.25, 0.5)
-    loaded, doc = read_tree_json(path)
+    loaded, doc = read_tree_json(path, 2)
     assert loaded == sel
     assert doc["leaf_count"] == 7
     assert doc["i_x_nats"] == 1.25
@@ -176,7 +196,7 @@ def test_tree_json_rejects_orphan_child(tmp_path):
         ' "i_x_nats": 0.0, "i_y_nats": 0.0}'
     )
     with pytest.raises(ValueError, match=r"depth=1, morton=0.*depth=0, morton=0"):
-        read_tree_json(path)
+        read_tree_json(path, 2)
 
 
 def test_tree_json_rejects_wrong_leaf_count(tmp_path):
@@ -186,7 +206,7 @@ def test_tree_json_rejects_wrong_leaf_count(tmp_path):
         ' "i_x_nats": 0.0, "i_y_nats": 0.0}'
     )
     with pytest.raises(ValueError, match="leaf_count"):
-        read_tree_json(path)
+        read_tree_json(path, 1)
 
 
 @pytest.mark.parametrize("text,match", [
@@ -203,7 +223,7 @@ def test_tree_json_rejects_malformed_shape(tmp_path, text, match):
     path = tmp_path / "bad.json"
     path.write_text(text)
     with pytest.raises(MalformedTreeDocument, match=match):
-        read_tree_json(path)
+        read_tree_json(path, 1)
 
 
 def _selections(rng, depth_l):

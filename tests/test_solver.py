@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import infoquad as iq
-from infoquad.solver import _ladder, _lattice_for, _parametric_dual
-from helpers import quadrant_world, random_world, reference_pack_lp_objective
+from infoquad.solver import _knapsack_ratio, _ladder, _lattice_for, _parametric_dual
+from helpers import (quadrant_world, random_valid_selection, random_world,
+                     reference_knapsack_ratio_cover, reference_knapsack_ratio_pack,
+                     reference_pack_lp_objective)
 
 LN2 = 0.6931471805599453
 QUAD_I_XY = 0.37677016125643675
@@ -95,6 +97,23 @@ def test_equality_prefers_most_relevant_tree_at_tied_rate(quad_inc):
     assert result.objective == pytest.approx(oracle.objective, abs=1e-9)
 
 
+def test_weighted_rate_tie_prefers_the_more_relevant_tree():
+    # every quadrant holds a permutation of one prior, so expanding any of
+    # them costs the same rate; quadrants 0 and 1 add relevance, 0 the more
+    weights = np.array([4, 3, 2, 1, 3, 4, 1, 2, 2, 1, 4, 3, 1, 2, 3, 4], dtype=float)
+    p1 = np.array([0.9, 0.1, 0.8, 0.2, 0.7, 0.3, 0.6, 0.4] + [0.5] * 8)
+    world = iq.world_from_cells(2, np.column_stack([1.0 - p1, p1]), weights / weights.sum())
+    inc = iq.compute_increments(world)
+    assert _lattice_for(inc) is None
+    assert inc.delta_x[1] == pytest.approx(inc.delta_x[2], abs=1e-12)
+    assert inc.delta_y[1] > inc.delta_y[2] + 1e-3
+    d_hat = float(inc.delta_y[0] + inc.delta_y[2])
+    result = iq.solve_min_rate(inc, d_hat)
+    assert result.nodes_explored > 0
+    assert result.selection.z.tolist() == [1, 1, 0, 0, 0]
+    assert result.selection == iq.brute_force_solve(inc, "min-rate", d_hat).selection
+
+
 def test_equality_unattained_rate_errors(quad_inc):
     with pytest.raises(ValueError, match="attains"):
         iq.solve_equality_max_relevance(quad_inc, 0.1234)
@@ -114,6 +133,45 @@ def test_brute_force_caps_depth():
     assert iq.brute_force_solve(inc, "min-rate", 0.0).selection.num_selected == 0
     with pytest.raises(ValueError, match="unknown problem"):
         iq.brute_force_solve(inc, "nonsense", 0.0)
+
+
+def test_knapsack_ratio_matches_the_cover_and_pack_references():
+    """The covering-form ratio equals both direct forms exactly, with zero
+    entries, ratios tied after rounding, and bounds at, between and above the
+    greedy's partial sums."""
+    rng = np.random.default_rng(28)
+    for trial in range(2000):
+        n = int(rng.integers(1, 10))
+        a, b = rng.random(n), rng.random(n)
+        if trial % 2:  # few distinct values: tied and rounding-tied ratios
+            a, b = rng.integers(0, 4, n) * 0.1, rng.integers(0, 4, n) * 0.3
+        a[rng.random(n) < 0.2] = 0.0
+        b[rng.random(n) < 0.2] = 0.0
+        needs = [0.0, *(f * b.sum() for f in (0.3, 0.7, 1.0, 1.5)), b.sum() + 1e-12,
+                 float(b[rng.random(n) < 0.5].sum())]
+        caps = [0.0, *(f * a.sum() for f in (0.3, 0.7, 1.0, 1.5)), a.sum() - 1e-12,
+                float(a[rng.random(n) < 0.5].sum())]
+        for need, cap in zip(needs, caps):
+            assert _knapsack_ratio(a, b, need) == reference_knapsack_ratio_cover(a, b, need)
+            assert _knapsack_ratio(-b, -a, -cap) == reference_knapsack_ratio_pack(a, b, cap)
+
+
+@pytest.mark.parametrize("depth_l", [1, 2, 3])
+@pytest.mark.parametrize("zero_prior", [False, True], ids=["positive", "zero-weight"])
+def test_weighted_equality_search_matches_oracle(depth_l, zero_prior):
+    """The rate-pinned search against the exhaustive scan, at attained rates."""
+    rng = np.random.default_rng(30 + 2 * depth_l + zero_prior)
+    for _ in range(3 if depth_l == 3 else 6):
+        inc = iq.compute_increments(random_world(
+            rng, depth_l, uniform_prior=False, zero_prior=zero_prior))
+        # a lone candidate of positive rate is depth-uniform: the lattice answers
+        assert depth_l == 1 or _lattice_for(inc) is None
+        for p_expand in (0.0, 0.3, 0.5, 0.7, 0.9, 1.0):
+            rate = iq.tree_information(random_valid_selection(rng, depth_l, p_expand), inc)[0]
+            mine = iq.solve_equality_max_relevance(inc, rate)
+            oracle = iq.brute_force_solve(inc, "equality", rate)
+            assert mine.objective == pytest.approx(oracle.objective, abs=1e-9)
+            assert mine.selection == oracle.selection
 
 
 def test_solver_matches_oracle_on_random_worlds():
@@ -228,13 +286,13 @@ def test_parametric_dual_values_are_lp_optima(depth_l, uniform_prior):
         total_x, total_y = float(a.sum()), float(b.sum())
         for frac in (0.0, 0.05, 0.3, 0.5, 0.77, 0.999, 1.0):
             d_hat = frac * total_y
-            lam, cover, _, _ = _parametric_dual(a, b, d_hat, -1, depth_l)
+            lam, cover, _, _ = _parametric_dual(a, b, d_hat, depth_l)
             assert lam >= 0.0
             assert cover == pytest.approx(iq.solve_lp_relaxation(inc, d_hat)[1], abs=1e-9)
             budget = frac * total_x
-            lam, pack, _, _ = _parametric_dual(b, a, budget, +1, depth_l)
+            lam, neg_pack, _, _ = _parametric_dual(-b, -a, -budget, depth_l)
             assert lam >= 0.0
-            assert pack == pytest.approx(reference_pack_lp_objective(inc, budget), abs=1e-9)
+            assert -neg_pack == pytest.approx(reference_pack_lp_objective(inc, budget), abs=1e-9)
 
 
 def test_ladder_root_bound_never_beats_the_exact_optimum():
@@ -249,10 +307,10 @@ def test_ladder_root_bound_never_beats_the_exact_optimum():
             d_hat = frac * total_y
             if d_hat > iq.TOL:
                 exact = iq.brute_force_solve(inc, "min-rate", d_hat).objective
-                assert _ladder(a, b, d_hat - iq.TOL, -1, depth_l).root_bound <= exact + 1e-12
+                assert _ladder(a, b, d_hat - iq.TOL, depth_l).root_bound <= exact + 1e-12
             budget = frac * total_x
             exact = iq.brute_force_solve(inc, "max-relevance", budget).objective
-            assert _ladder(b, a, budget + iq.TOL, +1, depth_l).root_bound >= exact - 1e-12
+            assert -_ladder(-b, -a, -(budget + iq.TOL), depth_l).root_bound >= exact - 1e-12
 
 
 def test_search_restores_the_recursion_limit():
