@@ -20,7 +20,7 @@ import numpy as np
 from .increments import compute_increments, tree_information, write_increments_csv
 from .pareto import DEFAULT_EPS_STEP, trace_pareto, write_pareto_csv
 from .quadtree import MalformedTreeDocument, _coordinates, read_tree_json, write_tree_json
-from .relaxation import round_selection, solve_lp_relaxation
+from .relaxation import relax_and_round, round_selection, solve_lp_relaxation
 from .solver import (
     DEFAULT_NODE_LIMIT,
     TOL,
@@ -117,14 +117,11 @@ def cmd_infoplane(args) -> int:
                 "true", _fmt(ilp_ms if args.timings else 0.0),
             ])
             t0 = time.perf_counter()
-            zfrac, _ = solve_lp_relaxation(inc, float(d_hat))
-            rounded = round_selection(zfrac, args.delta)
-            i_x, i_y = tree_information(rounded, inc)
+            rounded, met = relax_and_round(inc, float(d_hat), args.delta)
             lp_ms = (time.perf_counter() - t0) * 1e3
             writer.writerow([
-                "relax-round", _fmt(float(d_hat)), _fmt(i_x), _fmt(i_y),
-                "true" if i_y >= d_hat - TOL else "false",
-                _fmt(lp_ms if args.timings else 0.0),
+                "relax-round", _fmt(float(d_hat)), _fmt(rounded.i_x), _fmt(rounded.i_y),
+                "true" if met else "false", _fmt(lp_ms if args.timings else 0.0),
             ])
     print(f"wrote information-plane sweep of {grid.size} floors")
     return 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quadtree import TreeSelection, leaf_spans
+from .quadtree import TreeSelection, _leaf_ranges
 from .world import WorldMap, NORMALIZATION_TOL
 
 __all__ = ["entropy", "kl_divergence", "js_divergence", "direct_tree_information"]
@@ -83,14 +83,14 @@ def direct_tree_information(world: WorldMap, selection: TreeSelection) -> tuple[
         raise ValueError(
             f"selection depth_l {selection.depth_l} does not match world {world.depth_l}"
         )
-    spans = leaf_spans(selection)
+    _, leaf_lo, leaf_hi = _leaf_ranges(selection)
     p_x = world.cell_prior
     joint_xy = p_x[:, None] * world.cell_relevance
     p_y = joint_xy.sum(axis=0)
 
     i_x = 0.0
     i_y = 0.0
-    for _, lo, hi in spans:
+    for lo, hi in zip(leaf_lo.tolist(), leaf_hi.tolist()):
         p_t = p_x[lo:hi].sum()
         if p_t <= 0:
             continue

@@ -211,12 +211,10 @@ def _leaf_depths(z: np.ndarray, depth_l: int) -> np.ndarray:
     return depths
 
 
-def leaf_spans(selection: TreeSelection) -> list[tuple[NodeId, int, int]]:
-    """Leaves of the selection with their finest-cell Morton ranges [lo, hi).
-
-    Leaves are returned in ascending Morton range order, so the ranges tile
-    [0, 4^l) exactly.  Raises on an invalid selection.
-    """
+def _leaf_ranges(selection) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(depth, lo, hi) arrays of the leaves of a valid selection, in ascending
+    order of their finest-cell Morton ranges [lo, hi), which tile [0, 4^l).
+    Raises on an invalid selection."""
     z = _as_z(selection)
     depth_l = depth_from_candidate_count(z.size)
     if not is_valid_selection(z, depth_l):
@@ -224,8 +222,18 @@ def leaf_spans(selection: TreeSelection) -> list[tuple[NodeId, int, int]]:
     depths = _leaf_depths(z, depth_l)
     widths = 4 ** (depth_l - depths)
     lo = np.flatnonzero(np.arange(depths.size) % widths == 0)
-    return [(NodeId(d, s // w), s, s + w)
-            for d, s, w in zip(depths[lo].tolist(), lo.tolist(), widths[lo].tolist())]
+    return depths[lo], lo, lo + widths[lo]
+
+
+def leaf_spans(selection: TreeSelection) -> list[tuple[NodeId, int, int]]:
+    """Leaves of the selection with their finest-cell Morton ranges [lo, hi).
+
+    Leaves are returned in ascending Morton range order, so the ranges tile
+    [0, 4^l) exactly.  Raises on an invalid selection.
+    """
+    depths, lo, hi = _leaf_ranges(selection)
+    return [(NodeId(d, s // (e - s)), s, e)
+            for d, s, e in zip(depths.tolist(), lo.tolist(), hi.tolist())]
 
 
 def leaves_of(selection: TreeSelection) -> set[NodeId]:

@@ -6,26 +6,27 @@ one information row:
   min-rate        minimize z . delta_x   subject to z . delta_y >= d_hat
   max-relevance   maximize z . delta_y   subject to z . delta_x <= budget
 
-plus an equality variant (z . delta_x pinned to a value attained by some tree)
-used by the Pareto trace.  Validity (a child selected only with its parent) is
-built into the search: a candidate is branched on only once its parent is
-selected, so every explored assignment is a tree.
+plus an equality variant (z . delta_x pinned to a value d_star attained by
+some tree) used by the Pareto trace.  Validity (a child selected only with
+its parent) is built into the search: a candidate is branched on only once
+its parent is selected, so every explored assignment is a tree.
 
 Non-uniform priors run every program as one covering search,
 
   minimize c . z   subject to need <= g . z <= cap,
 
 with min-rate as (delta_x, delta_y, d_hat, inf), max-relevance as
-(-delta_y, -delta_x, -budget, inf) and the equality band [lo, hi] as
-(-delta_y, -delta_x, -hi, -lo).  Negation is exact in floating point, so each
-program makes the same comparisons as in its direct form.  Bounds come from
-the Lagrangian dual of the row over the tree-validity polytope.  For a fixed
-multiplier lam the inner problem is a minimum-weight ancestor-closed subtree
-of c - lam * g, solved in one bottom-up pass.  The dual is piecewise linear
-in lam, and _parametric_dual finds its optimum by Newton steps between two
-bracketing subtrees (the generalized BFOS pruning sequence), a few closure
-passes in all; its value there equals the LP-relaxation optimum, and the LP
-relaxation uses the same routine.  Because the duals of the remaining
+(-delta_y, -delta_x, -budget, inf) and the equality band
+[lo, hi] = [d_star - 1e-12, d_star + 1e-12] as (-delta_y, -delta_x, -hi, -lo).
+Negation is exact in floating point, so each program makes the same
+comparisons as in its direct form, and one greedy seed serves all three.
+Bounds come from the Lagrangian dual of the row over the tree-validity
+polytope.  For a fixed multiplier lam the inner problem is a minimum-weight
+ancestor-closed subtree of c - lam * g, solved in one bottom-up pass.  The
+dual is piecewise linear in lam, and _parametric_dual finds its optimum by
+Newton steps between two bracketing subtrees (the generalized BFOS pruning
+sequence), a few closure passes in all; its value there equals the
+LP-relaxation optimum, and the LP relaxation uses the same routine.  Because the duals of the remaining
 subproblems drift as the search fixes the shallow backbone, bounds are
 evaluated on a geometric ladder of multipliers around the root-optimal one
 (every multiplier gives a valid bound), tabulated in one closure pass over
@@ -50,7 +51,6 @@ rate classes are at least ln(4)/4^(l-1) nats apart (3.4e-4 at depth 7), so the
 from __future__ import annotations
 
 import heapq
-import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,6 +85,7 @@ _LADDER_STEPS = 29
 # cycle.
 _FLOOR_SLACK = 1e-12    # relative to the row's total
 _DUAL_SLACK = 1e-14     # relative to the magnitude of a dual line
+_EQUALITY_BAND = 1e-12  # the rate-pinned search's half-width around d_star
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -247,83 +248,52 @@ def _ladder(c, g, bound, depth_l) -> _Ladder:
     return _Ladder(lams, gain.T, (best - w - gain).T, root_bound)
 
 
-def _chain_cost(idx, selected, a, b):
-    """Cost/coverage of adding idx plus its unselected ancestors."""
-    chain = []
-    t = idx
-    while t >= 0 and not selected[t]:
-        chain.append(t)
-        t = (t - 1) >> 2 if t else -1
-    return chain, a[chain].sum(), b[chain].sum()
+def _seed(c, g, need) -> np.ndarray:
+    """Greedy feasible selection for min c.z s.t. g.z >= need.
 
-
-def _seed_cover(a, b, need) -> np.ndarray:
-    """Greedy feasible selection for the covering problem: best-ratio chains,
-    then a trim pass dropping removable nodes the coverage slack allows."""
-    n = a.size
+    Items with g > 0 or c < 0 are visited cheapest per unit of |g| first.
+    Each one's chain (the item plus its unselected ancestors) is added while
+    the row is unmet, or when the item has c < 0 and the chain keeps the row.
+    A trim pass then drops selection leaves with c >= 0, priciest first,
+    whenever the row can spare them.
+    """
+    n = c.size
     z = np.zeros(n, dtype=bool)
-    if need <= 0:
-        return z.astype(np.uint8)
-    ratio = np.full(n, np.inf)
-    pos = b > 0
-    ratio[pos] = a[pos] / b[pos]
-    order = np.argsort(ratio, kind="stable")
+    take = np.flatnonzero((g > 0) | (c < 0))
+    with np.errstate(divide="ignore"):
+        order = take[np.argsort(c[take] / np.abs(g[take]), kind="stable")]
     covered = 0.0
-    for idx in order:
-        if covered >= need:
-            break
-        if not pos[idx] or z[idx]:
+    for idx in order.tolist():
+        met = covered >= need
+        if z[idx] or (met and c[idx] >= 0):
             continue
-        chain, _, gain = _chain_cost(int(idx), z, a, b)
+        chain = []
+        t = idx
+        while t >= 0 and not z[t]:
+            chain.append(t)
+            t = (t - 1) >> 2 if t else -1
+        gain = g[chain].sum()
+        if met and covered + gain < need:
+            continue
         z[chain] = True
         covered += gain
     if covered < need:  # numerical remainder: take everything
         z[:] = True
-        covered = float(b.sum())
-    # trim selection leaves whose relevance the slack can spare, priciest first
-    child_count = np.zeros(n, dtype=np.int64)
+        covered = float(g.sum())
     sel_idx = np.flatnonzero(z)
-    for idx in sel_idx:
-        if idx:
-            child_count[(idx - 1) >> 2] += 1
-    removable = [int(i) for i in sel_idx if child_count[i] == 0]
-    heap = [(-float(a[i]), i) for i in removable]
+    child_count = np.bincount((sel_idx[sel_idx > 0] - 1) >> 2, minlength=n)
+    heap = [(-float(c[i]), i) for i in sel_idx.tolist() if not child_count[i] and c[i] >= 0]
     heapq.heapify(heap)
     while heap:
         _, idx = heapq.heappop(heap)
-        if not z[idx] or child_count[idx]:
-            continue
-        if covered - b[idx] >= need:
+        if covered - g[idx] >= need:
             z[idx] = False
-            covered -= float(b[idx])
+            covered -= float(g[idx])
             if idx:
                 parent = (idx - 1) >> 2
                 child_count[parent] -= 1
-                if child_count[parent] == 0:
-                    heapq.heappush(heap, (-float(a[parent]), parent))
-    return z.astype(np.uint8)
-
-
-def _seed_pack(b, a, cap) -> np.ndarray:
-    """Greedy feasible selection for the packing problem: best-ratio chains
-    that fit the remaining budget."""
-    n = a.size
-    z = np.zeros(n, dtype=bool)
-    ratio = np.full(n, -1.0)
-    pos = b > 0
-    with np.errstate(divide="ignore"):
-        ratio[pos] = np.where(a[pos] > 0, b[pos] / np.where(a[pos] > 0, a[pos], 1.0), np.inf)
-    order = np.argsort(-ratio, kind="stable")
-    used = 0.0
-    for idx in order:
-        if ratio[idx] < 0:
-            break
-        if z[idx]:
-            continue
-        chain, cost, _ = _chain_cost(int(idx), z, a, b)
-        if used + cost <= cap:
-            z[chain] = True
-            used += cost
+                if not child_count[parent] and c[parent] >= 0:
+                    heapq.heappush(heap, (-float(c[parent]), parent))
     return z.astype(np.uint8)
 
 
@@ -354,6 +324,9 @@ def _better(fc, fg, pack_fn, inc: _Incumbent) -> bool:
     return pack_fn() < inc.pack
 
 
+_ENTER, _BRANCH, _UNDO = range(3)   # the search's task kinds
+
+
 def _search(c, g, need, cap, ladder, seed_z, node_limit, depth_l):
     """Depth-first exact search of min c.z s.t. need <= g.z <= cap; returns
     (incumbent or None, nodes_explored).
@@ -363,6 +336,11 @@ def _search(c, g, need, cap, ladder, seed_z, node_limit, depth_l):
     seed's value is branched first, and a subtree is pruned when the
     undecided candidates cannot bring g.z into the row, or when its dual
     bound cannot tie the incumbent within tolerance.
+
+    The search runs from an explicit stack of tasks: enter the decision at
+    a queue position, take one value of a candidate, and undo a taken 1.  A
+    branch's prunes are tested when it is popped, so the second value of a
+    candidate is judged against the incumbent its sibling's subtree left.
     """
     n = c.size
     # per candidate, the most and the least it can add to g.z and the least
@@ -373,77 +351,68 @@ def _search(c, g, need, cap, ladder, seed_z, node_limit, depth_l):
     cL, gL = c.tolist(), g.tolist()
     lam, G, D1 = ladder.lam, ladder.G, ladder.D1
 
-    incumbent: list[_Incumbent | None] = [None]
+    best = None
     if seed_z is not None:
-        incumbent[0] = _Incumbent(float(c @ seed_z), float(g @ seed_z), seed_z)
+        best = _Incumbent(float(c @ seed_z), float(g @ seed_z), seed_z)
+    seed_first = seed_z.tolist() if seed_z is not None else [0] * n
 
     zcur = [0] * n
-    pending = [0] if n else []
-    seed_first = seed_z.tolist() if seed_z is not None else [0] * n
-    nodes = [0]
-
-    def consider(fc, fg):
-        if fg < need or fg > cap:
-            return
-        best = incumbent[0]
-        if best is None or _better(fc, fg, lambda: _pack_bits(zcur), best):
-            incumbent[0] = _Incumbent(fc, fg, zcur)
-
-    def rec(pi, fc, fg, s, rest_up, rest_dn, rest_c):
-        # rest_up / rest_dn: the most / least the undecided candidates can
-        # add to g.z; rest_c: the least they can add to c.z
-        if pi == len(pending):
-            consider(fc, fg)
-            return
-        r = pending[pi]
-        nodes[0] += 2
-        if nodes[0] > node_limit:
-            raise ResourceLimitExceeded(
-                f"node-exploration limit of {node_limit} reached; "
-                "raise node_limit to continue the exact search"
-            )
-        first = seed_first[r]
-        for v in (first, 1 - first):
-            if v:
-                fc2 = fc + cL[r]
-                fg2 = fg + gL[r]
-                up2 = rest_up - g_up[r]
-                dn2 = rest_dn - g_dn[r]
-                c2 = rest_c - c_dn[r]
-            else:
-                fc2, fg2 = fc, fg
-                up2 = rest_up - sub_g_up[r]
-                dn2 = rest_dn - sub_g_dn[r]
-                c2 = rest_c - sub_c_dn[r]
-            if fg2 + up2 < need or fg2 + dn2 > cap:
-                continue
-            s2 = s + D1[r] if v else s - G[r]
-            best = incumbent[0]
-            if best is not None:
-                worst = best.c + TOL
-                if (fc2 + c2 > worst
-                        or fc2 + float((lam * (need - fg2) + s2).max()) > worst):
-                    continue
-            zcur[r] = v
-            saved_len = len(pending)
-            if v:
-                child = 4 * r + 1
-                if child + 3 < n:
-                    pending.extend((child, child + 1, child + 2, child + 3))
-            rec(pi + 1, fc2, fg2, s2, up2, dn2, c2)
+    pending = [0]
+    nodes = 0
+    # rest_up / rest_dn: the most / least the undecided candidates can add
+    # to g.z; rest_c: the least they can add to c.z
+    stack = [(_ENTER, 0, 0.0, 0.0, G[0].copy(), sub_g_up[0], sub_g_dn[0], sub_c_dn[0])]
+    while stack:
+        task = stack.pop()
+        if task[0] == _UNDO:
+            _, r, saved_len = task
             del pending[saved_len:]
             zcur[r] = 0
-
-    if n:
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 4 * n + 10_000))
-        try:
-            rec(0, 0.0, 0.0, G[0].copy(), sub_g_up[0], sub_g_dn[0], sub_c_dn[0])
-        finally:
-            sys.setrecursionlimit(limit)
-    else:
-        consider(0.0, 0.0)
-    return incumbent[0], nodes[0]
+            continue
+        if task[0] == _ENTER:
+            _, pi, fc, fg, s, rest_up, rest_dn, rest_c = task
+            if pi == len(pending):
+                if need <= fg <= cap and (
+                        best is None or _better(fc, fg, lambda: _pack_bits(zcur), best)):
+                    best = _Incumbent(fc, fg, zcur)
+                continue
+            nodes += 2
+            if nodes > node_limit:
+                raise ResourceLimitExceeded(
+                    f"node-exploration limit of {node_limit} reached; "
+                    "raise node_limit to continue the exact search"
+                )
+            r = pending[pi]
+            first = seed_first[r]
+            stack.append((_BRANCH, pi, r, 1 - first, fc, fg, s, rest_up, rest_dn, rest_c))
+            stack.append((_BRANCH, pi, r, first, fc, fg, s, rest_up, rest_dn, rest_c))
+            continue
+        _, pi, r, v, fc, fg, s, rest_up, rest_dn, rest_c = task
+        if v:
+            fc += cL[r]
+            fg += gL[r]
+            rest_up -= g_up[r]
+            rest_dn -= g_dn[r]
+            rest_c -= c_dn[r]
+        else:
+            rest_up -= sub_g_up[r]
+            rest_dn -= sub_g_dn[r]
+            rest_c -= sub_c_dn[r]
+        if fg + rest_up < need or fg + rest_dn > cap:
+            continue
+        s = s + D1[r] if v else s - G[r]
+        if best is not None:
+            worst = best.c + TOL
+            if fc + rest_c > worst or fc + float((lam * (need - fg) + s).max()) > worst:
+                continue
+        if v:
+            zcur[r] = 1
+            stack.append((_UNDO, r, len(pending)))
+            child = 4 * r + 1
+            if child + 3 < n:
+                pending.extend((child, child + 1, child + 2, child + 3))
+        stack.append((_ENTER, pi + 1, fc, fg, s, rest_up, rest_dn, rest_c))
+    return best, nodes
 
 
 def _solve_covering(c, g, need, cap, seed_z, node_limit, depth_l):
@@ -660,7 +629,7 @@ def solve_min_rate(inc: IncrementVectors, d_hat: float,
         # of a floor that sits right at the feasibility edge
         k = int(hits[0]) if hits.size else int(np.argmax(lattice.root))
         return _result_from_z(lattice.reconstruct(k), inc, "min-rate", 0, t0)
-    z, nodes = _solve_covering(a, b, need, np.inf, _seed_cover(a, b, need),
+    z, nodes = _solve_covering(a, b, need, np.inf, _seed(a, b, need),
                                node_limit, depth_l)
     return _result_from_z(z, inc, "min-rate", nodes, t0)
 
@@ -685,7 +654,7 @@ def solve_max_relevance(inc: IncrementVectors, budget_d: float,
         feasible = lattice.root[:k_cap + 1]
         k = int(np.argmax(feasible))  # first maximum: smaller rate on ties
         return _result_from_z(lattice.reconstruct(k), inc, "max-relevance", 0, t0)
-    z, nodes = _solve_covering(-b, -a, -cap, np.inf, _seed_pack(b, a, cap),
+    z, nodes = _solve_covering(-b, -a, -cap, np.inf, _seed(-b, -a, -cap),
                                node_limit, depth_l)
     return _result_from_z(z, inc, "max-relevance", nodes, t0)
 
@@ -693,26 +662,28 @@ def solve_max_relevance(inc: IncrementVectors, budget_d: float,
 def solve_equality_max_relevance(inc: IncrementVectors, d_star: float,
                                  node_limit: int = DEFAULT_NODE_LIMIT,
                                  seed_selection: TreeSelection | None = None) -> SolveResult:
-    """Most relevant valid tree whose rate equals d_star within the tolerance band.
+    """Most relevant valid tree whose rate equals d_star.
 
     d_star must be attained by some valid tree (callers obtain it from
-    solve_min_rate; its selection makes a good seed).  If several distinct
-    attained rates fall inside one band the band is shrunk tenfold until the
-    maximizer sits on d_star itself, with a floor of 1e-12.
+    solve_min_rate; its selection makes a good seed).  With a uniform prior
+    the rate classes lie farther apart than the 1e-9 tolerance, and the class
+    within it is looked up.  Otherwise the search pins the rate to the band
+    d_star +- 1e-12, which a seed must meet too.
     """
     t0 = time.perf_counter()
     a, b = inc.delta_x, inc.delta_y
     depth_l = depth_from_candidate_count(a.size)
-    seed = None
-    if seed_selection is not None:
-        seed = seed_selection.z.astype(np.uint8)
-        if abs(float(a @ seed) - d_star) > TOL:
-            raise ValueError("seed selection does not attain d_star within tolerance")
     if a.size == 0:
         if abs(d_star) > TOL:
             raise ValueError(f"no valid selection attains rate {d_star!r}")
         return _result_from_z(np.zeros(0, np.uint8), inc, "equality", 0, t0)
     lattice = _lattice_for(inc)
+    band = TOL if lattice is not None else _EQUALITY_BAND
+    seed = None
+    if seed_selection is not None:
+        seed = seed_selection.z.astype(np.uint8)
+        if abs(float(a @ seed) - d_star) > band:
+            raise ValueError(f"seed selection does not attain d_star within {band!r}")
     if lattice is not None:
         # the tolerance band around an attained rate contains exactly one class
         k = int(round(d_star / lattice.unit))
@@ -723,18 +694,11 @@ def solve_equality_max_relevance(inc: IncrementVectors, d_star: float,
                 f"no valid selection attains rate {d_star!r} within tolerance"
             )
         return _result_from_z(lattice.reconstruct(k), inc, "equality", 0, t0)
-    band = TOL
-    total_nodes = 0
-    while True:
-        lo, hi = d_star - band, d_star + band
-        z, nodes = _solve_covering(-b, -a, -hi, -lo, seed, node_limit, depth_l)
-        total_nodes += nodes
-        if z is None:
-            raise ValueError(f"no valid selection attains rate {d_star!r} within {band!r}")
-        result = _result_from_z(z, inc, "equality", total_nodes, t0)
-        if abs(result.i_x - d_star) <= 1e-12 or band <= 1e-12:
-            return result
-        band = max(band / 10.0, 1e-12)
+    lo, hi = d_star - band, d_star + band
+    z, nodes = _solve_covering(-b, -a, -hi, -lo, seed, node_limit, depth_l)
+    if z is None:
+        raise ValueError(f"no valid selection attains rate {d_star!r} within {band!r}")
+    return _result_from_z(z, inc, "equality", nodes, t0)
 
 
 @lru_cache(maxsize=8)

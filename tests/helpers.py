@@ -39,6 +39,24 @@ def random_world(rng, depth_l, binary=False, uniform_prior=True, zero_prior=Fals
     return iq.world_from_cells(depth_l, relevance, prior)
 
 
+def blob_world(rng, depth_l, zero_weight=False):
+    """Weighted binary world of a few smooth relevant blobs plus pixel noise,
+    quantized to 8-bit gray levels, with log-normal cell weights; with
+    zero_weight a quarter of the cells weigh nothing."""
+    side = 2 ** depth_l
+    yy, xx = np.mgrid[0:side, 0:side] + 0.5
+    field = rng.normal(0.0, 0.05, (side, side))
+    for _ in range(6):
+        cy, cx = rng.uniform(0, side, 2)
+        width = rng.uniform(side / 16, side / 4)
+        field += rng.uniform(0.3, 1.0) * np.exp(
+            -((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * width * width))
+    weights = np.exp(rng.normal(0.0, 0.5, (side, side)))
+    if zero_weight:
+        weights[rng.random((side, side)) < 0.25] = 0.0
+    return iq.world_from_grid(np.rint(255 * np.clip(field, 0.0, 1.0)) / 255, weights)
+
+
 def random_valid_selection(rng, depth_l, p_expand=0.6):
     """Top-down random tree: each available candidate selected with p_expand."""
     n = (4 ** depth_l - 1) // 3
@@ -142,6 +160,105 @@ def reference_knapsack_ratio_pack(a, b, cap):
     if idx >= order.size:
         return 0.0
     return float(ratio[order[idx]])
+
+
+def _reference_chain(idx, selected):
+    chain, t = [], idx
+    while t >= 0 and not selected[t]:
+        chain.append(t)
+        t = (t - 1) >> 2 if t else -1
+    return chain
+
+
+def reference_seed_cover(a, b, need):
+    """Greedy selection for min a.z s.t. b.z >= need: chains of the items
+    with b > 0 in ascending order of a/b until the floor is met, then a trim
+    of the priciest removable leaves.  A reference for _seed(a, b, need)."""
+    import heapq
+
+    n = a.size
+    z = np.zeros(n, dtype=bool)
+    if need <= 0:
+        return z.astype(np.uint8)
+    ratio = np.full(n, np.inf)
+    pos = b > 0
+    ratio[pos] = a[pos] / b[pos]
+    covered = 0.0
+    for idx in np.argsort(ratio, kind="stable"):
+        if covered >= need:
+            break
+        if not pos[idx] or z[idx]:
+            continue
+        chain = _reference_chain(int(idx), z)
+        z[chain] = True
+        covered += b[chain].sum()
+    if covered < need:
+        z[:] = True
+        covered = float(b.sum())
+    child_count = np.zeros(n, dtype=np.int64)
+    sel_idx = np.flatnonzero(z)
+    for idx in sel_idx:
+        if idx:
+            child_count[(idx - 1) >> 2] += 1
+    heap = [(-float(a[i]), int(i)) for i in sel_idx if child_count[i] == 0]
+    heapq.heapify(heap)
+    while heap:
+        _, idx = heapq.heappop(heap)
+        if not z[idx] or child_count[idx]:
+            continue
+        if covered - b[idx] >= need:
+            z[idx] = False
+            covered -= float(b[idx])
+            if idx:
+                parent = (idx - 1) >> 2
+                child_count[parent] -= 1
+                if child_count[parent] == 0:
+                    heapq.heappush(heap, (-float(a[parent]), parent))
+    return z.astype(np.uint8)
+
+
+def reference_seed_pack(b, a, cap):
+    """Greedy selection for max b.z s.t. a.z <= cap: chains of the items with
+    b > 0 in descending order of b/a, each taken when it fits the remaining
+    budget.  A reference for _seed(-b, -a, -cap)."""
+    n = a.size
+    z = np.zeros(n, dtype=bool)
+    ratio = np.full(n, -1.0)
+    pos = b > 0
+    with np.errstate(divide="ignore"):
+        ratio[pos] = np.where(a[pos] > 0, b[pos] / np.where(a[pos] > 0, a[pos], 1.0), np.inf)
+    used = 0.0
+    for idx in np.argsort(-ratio, kind="stable"):
+        if ratio[idx] < 0:
+            break
+        if z[idx]:
+            continue
+        chain = _reference_chain(int(idx), z)
+        cost = a[chain].sum()
+        if used + cost <= cap:
+            z[chain] = True
+            used += cost
+    return z.astype(np.uint8)
+
+
+def reference_equality_band_loop(inc, d_star, seed=None, node_limit=50_000_000):
+    """Rate-pinned search over a band shrunk tenfold from 1e-9 until the
+    maximizer lies within 1e-12 of d_star or the band is 1e-12; returns the
+    selection vector.  A reference for the one-band equality search."""
+    from infoquad.quadtree import depth_from_candidate_count
+    from infoquad.solver import _solve_covering
+
+    a, b = inc.delta_x, inc.delta_y
+    depth_l = depth_from_candidate_count(a.size)
+    band = 1e-9
+    while True:
+        lo, hi = d_star - band, d_star + band
+        z, _ = _solve_covering(-b, -a, -hi, -lo, seed, node_limit, depth_l)
+        if z is None:
+            raise ValueError(f"no valid selection attains rate {d_star!r} within {band!r}")
+        if abs(float(np.asarray(z, dtype=np.float64) @ a) - d_star) <= 1e-12 or band <= 1e-12:
+            return np.asarray(z, dtype=np.uint8)
+        band = max(band / 10.0, 1e-12)
 
 
 def write_text(path, text):

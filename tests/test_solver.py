@@ -1,14 +1,14 @@
-import inspect
 import sys
 
 import numpy as np
 import pytest
 
 import infoquad as iq
-from infoquad.solver import _knapsack_ratio, _ladder, _lattice_for, _parametric_dual
-from helpers import (quadrant_world, random_valid_selection, random_world,
-                     reference_knapsack_ratio_cover, reference_knapsack_ratio_pack,
-                     reference_pack_lp_objective)
+from infoquad.solver import _knapsack_ratio, _ladder, _lattice_for, _parametric_dual, _seed
+from helpers import (blob_world, quadrant_world, random_valid_selection, random_world,
+                     reference_equality_band_loop, reference_knapsack_ratio_cover,
+                     reference_knapsack_ratio_pack, reference_pack_lp_objective,
+                     reference_seed_cover, reference_seed_pack)
 
 LN2 = 0.6931471805599453
 QUAD_I_XY = 0.37677016125643675
@@ -313,25 +313,107 @@ def test_ladder_root_bound_never_beats_the_exact_optimum():
             assert -_ladder(-b, -a, -(budget + iq.TOL), depth_l).root_bound >= exact - 1e-12
 
 
-def test_search_restores_the_recursion_limit():
-    rng = np.random.default_rng(92)
-    inc = iq.compute_increments(random_world(rng, 4, uniform_prior=False))
-    d_hat = 0.9 * float(inc.delta_y.sum())
-    # a first solve at the usual limit also runs numpy's lazy imports, which
-    # nest deeper than the search itself
-    result = iq.solve_min_rate(inc, d_hat)
-    # the search reached the optimum's leaf, one frame per decided candidate
-    assert result.nodes_explored > 0 and 4 * result.selection.num_selected > 40
-    saved = sys.getrecursionlimit()
-    low = len(inspect.stack(0)) + 40
-    sys.setrecursionlimit(low)
-    try:
-        again = iq.solve_min_rate(inc, d_hat)
-        after_solve = sys.getrecursionlimit()
-        with pytest.raises(iq.ResourceLimitExceeded):
-            iq.solve_min_rate(inc, d_hat, node_limit=50)
-        after_raise = sys.getrecursionlimit()
-    finally:
-        sys.setrecursionlimit(saved)
-    assert after_solve == after_raise == low
-    assert np.array_equal(again.selection.z, result.selection.z)
+def test_search_leaves_the_recursion_limit_alone(monkeypatch):
+    """A depth-6 search decides more candidates on one path than the default
+    recursion limit allows frames, and runs to its node limit without
+    touching that limit."""
+    def refuse(limit):
+        raise AssertionError(f"the search set the recursion limit to {limit}")
+
+    rng = np.random.default_rng(93)
+    grid = rng.integers(0, 256, (64, 64)) / 255
+    world = iq.world_from_grid(grid, rng.uniform(0.2, 1.0, (64, 64)))
+    inc = iq.compute_increments(world)
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    with pytest.raises(iq.ResourceLimitExceeded):
+        iq.solve_min_rate(inc, 0.9 * iq.mutual_info_xy(world), node_limit=20_000)
+
+
+def test_seed_matches_the_cover_and_pack_references():
+    """The covering-form greedy seed equals both direct-form seeds exactly, on
+    random vectors with zero entries and tied ratios and on weighted worlds
+    with and without zero-weight cells."""
+    rng = np.random.default_rng(94)
+    cases = []
+    for trial in range(800):
+        n = int(rng.integers(1, 30))
+        a, b = rng.random(n), rng.random(n)
+        if trial % 2:  # few distinct values: tied and rounding-tied ratios
+            a, b = rng.integers(0, 4, n) * 0.1, rng.integers(0, 4, n) * 0.3
+        a[rng.random(n) < 0.2] = 0.0
+        b[rng.random(n) < 0.2] = 0.0
+        cases.append((a, b))
+    for depth_l in (1, 2, 3, 4):
+        for zero_prior in (False, True):
+            for _ in range(4):
+                inc = iq.compute_increments(random_world(
+                    rng, depth_l, uniform_prior=False, zero_prior=zero_prior))
+                cases.append((inc.delta_x, inc.delta_y))
+    for a, b in cases:
+        needs = [0.0, *(f * b.sum() for f in (0.3, 0.7, 0.9, 1.0)), b.sum() - iq.TOL,
+                 float(b[rng.random(b.size) < 0.5].sum())]
+        caps = [0.0, *(f * a.sum() for f in (0.05, 0.3, 0.7, 1.0)), a.sum() + iq.TOL,
+                float(a[rng.random(a.size) < 0.5].sum())]
+        for need, cap in zip(needs, caps):
+            assert np.array_equal(_seed(a, b, need), reference_seed_cover(a, b, need))
+            assert np.array_equal(_seed(-b, -a, -cap), reference_seed_pack(b, a, cap))
+
+
+@pytest.mark.parametrize("depth_l", [2, 3, 4])
+@pytest.mark.parametrize("zero_prior", [False, True], ids=["positive", "zero-weight"])
+def test_equality_search_matches_the_band_loop(depth_l, zero_prior):
+    """One search over d_star +- 1e-12 picks the tree of the loop that shrank
+    the band tenfold from 1e-9, at attained rates, with and without a seed."""
+    rng = np.random.default_rng(95 + 2 * depth_l + zero_prior)
+    for _ in range(3):
+        # i.i.d. relevance makes depth-4 equality searches run for minutes
+        world = (blob_world(rng, depth_l, zero_weight=zero_prior) if depth_l == 4 else
+                 random_world(rng, depth_l, uniform_prior=False, zero_prior=zero_prior))
+        inc = iq.compute_increments(world)
+        total = float(inc.delta_y.sum())
+        for frac in (0.2, 0.5, 0.8):
+            stage1 = iq.solve_min_rate(inc, frac * total)
+            seed = stage1.selection.z.astype(np.uint8)
+            reference = reference_equality_band_loop(inc, stage1.i_x, seed)
+            for seed_selection in (stage1.selection, None)[:1 if depth_l == 4 else 2]:
+                mine = iq.solve_equality_max_relevance(inc, stage1.i_x,
+                                                       seed_selection=seed_selection)
+                assert np.array_equal(mine.selection.z, reference)
+        # unseeded, a depth-4 equality search can exceed millions of nodes
+        for p_expand in (0.3, 0.6, 0.9)[:0 if depth_l == 4 else 3]:
+            rate = iq.tree_information(random_valid_selection(rng, depth_l, p_expand), inc)[0]
+            mine = iq.solve_equality_max_relevance(inc, rate)
+            assert np.array_equal(mine.selection.z, reference_equality_band_loop(inc, rate))
+
+
+def test_equality_seed_outside_the_band_is_refused():
+    """A seed within 1e-9 but not 1e-12 of d_star misses the searched band:
+    the solve raises, as it does without the seed."""
+    rng = np.random.default_rng(3)
+    world = iq.world_from_grid(rng.random((8, 8)), rng.uniform(0.2, 1.0, (8, 8)))
+    inc = iq.compute_increments(world)
+    seed = iq.solve_min_rate(inc, 0.5 * iq.mutual_info_xy(world)).selection
+    d_star = iq.tree_information(seed, inc)[0] + 5e-10
+    with pytest.raises(ValueError, match="attains"):
+        iq.solve_equality_max_relevance(inc, d_star)
+    with pytest.raises(ValueError, match="seed selection"):
+        iq.solve_equality_max_relevance(inc, d_star, seed_selection=seed)
+
+
+def test_search_effort_does_not_grow():
+    """Summed search nodes over fixed depth-4 weighted worlds at the
+    benchmark's floor and budget fractions; the bounds are the sums the
+    covering search with one greedy seed explored when this test was made."""
+    rng = np.random.default_rng(41)
+    min_rate_nodes = max_relevance_nodes = 0
+    for k in range(24):
+        world = blob_world(rng, 4, zero_weight=k % 4 == 3)
+        inc = iq.compute_increments(world)
+        assert _lattice_for(inc) is None
+        info = iq.mutual_info_xy(world)
+        min_rate_nodes += iq.solve_min_rate(
+            inc, (0.6, 0.7, 0.75, 0.8, 0.85)[k % 5] * info).nodes_explored
+        max_relevance_nodes += iq.solve_max_relevance(
+            inc, (5.0, 7.5, 10.0, 30.0, 60.0)[k % 5] * info).nodes_explored
+    assert min_rate_nodes <= 15_532
+    assert max_relevance_nodes <= 13_602
