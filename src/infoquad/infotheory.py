@@ -87,20 +87,17 @@ def direct_tree_information(world: WorldMap, selection: TreeSelection) -> tuple[
     p_x = world.cell_prior
     joint_xy = p_x[:, None] * world.cell_relevance
     p_y = joint_xy.sum(axis=0)
+    p_t = np.add.reduceat(p_x, leaf_lo)
+    p_ty = np.add.reduceat(joint_xy, leaf_lo)
 
-    i_x = 0.0
-    i_y = 0.0
-    for lo, hi in zip(leaf_lo.tolist(), leaf_hi.tolist()):
-        p_t = p_x[lo:hi].sum()
-        if p_t <= 0:
-            continue
-        # p(t,x) = p(x) for cells in the leaf, zero elsewhere
-        px = p_x[lo:hi]
-        mask = px > 0
-        i_x += float((px[mask] * np.log(px[mask] / (p_t * px[mask]))).sum())
-        p_ty = joint_xy[lo:hi].sum(axis=0)
-        ymask = p_ty > 0
-        i_y += float((p_ty[ymask] * np.log(p_ty[ymask] / (p_t * p_y[ymask]))).sum())
+    # p(t,x) = p(x) for the cells of leaf t, zero elsewhere
+    xmask = p_x > 0
+    cell_p_t = np.repeat(p_t, leaf_hi - leaf_lo)[xmask]
+    px = p_x[xmask]
+    i_x = float((px * np.log(px / (cell_p_t * px))).sum())
+    ymask = p_ty > 0
+    p_t_p_y = (p_t[:, None] * p_y)[ymask]
+    i_y = float((p_ty[ymask] * np.log(p_ty[ymask] / p_t_p_y)).sum())
     i_x = 0.0 if -1e-12 < i_x < 0.0 else i_x
     i_y = 0.0 if -1e-12 < i_y < 0.0 else i_y
     return i_x, i_y

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .increments import IncrementVectors
+from .increments import IncrementVectors, tree_information
 from .quadtree import TreeSelection
 from .solver import (
     DEFAULT_NODE_LIMIT,
@@ -124,39 +124,43 @@ def trace_pareto(inc: IncrementVectors, eps_step: float = DEFAULT_EPS_STEP,
             f"eps_step must exceed the feasibility tolerance {TOL}, got {eps_step}"
         )
     lattice = _lattice_for(inc)
-    if lattice is not None:
-        return _trace_lattice(inc, lattice, eps_step)
+    if lattice is None:
+        def point_at(query):
+            return pareto_point(inc, query, node_limit=node_limit)
+    else:
+        point_at = _lattice_points(inc, lattice)
     total = float(inc.delta_y.sum())
-    points = [pareto_point(inc, 0.0, node_limit=node_limit)]
-    while points[-1].d_hat_star < total - TOL:
-        query = min(points[-1].d_hat_star + eps_step, total)
-        point = pareto_point(inc, query, node_limit=node_limit)
-        if point.d_hat_star <= points[-1].d_hat_star + 1e-15:
+    points: list[ParetoPoint] = []
+    query = 0.0
+    while True:
+        point = point_at(query)
+        if points and point.d_hat_star <= points[-1].d_hat_star + 1e-15:
             break  # floating-point guard; cannot happen for eps_step > tol
         points.append(point)
+        if point.d_hat_star >= total - TOL:
+            break
+        query = min(point.d_hat_star + eps_step, total)
     return points
 
 
-def _trace_lattice(inc: IncrementVectors, lattice: _LatticeDP,
-                   eps_step: float) -> list[ParetoPoint]:
-    """The floor sweep of trace_pareto, answered from the lattice root.
+def _lattice_points(inc: IncrementVectors, lattice: _LatticeDP):
+    """The per-floor point of trace_pareto, answered from the lattice root.
 
     The first class whose relevance meets a floor is always a strict prefix
     record of the root table (a class not above every cheaper one is beaten
     to the floor by one of them), and so is the argmax fallback that
-    solve_min_rate takes.  Each point is that record's tree, with its
-    information pair summed exactly as the solvers sum it.
+    solve_min_rate takes.  Each point is that record's tree; records are
+    reconstructed in batches starting at the first one a floor asks for.
     """
     root = lattice.root
     is_record = np.ones(root.size, dtype=bool)
     is_record[1:] = root[1:] > np.maximum.accumulate(root)[:-1]
     classes = np.flatnonzero(is_record)
     values = root[classes].tolist()
-    total = float(inc.delta_y.sum())
     first, trees = 0, np.zeros((0, inc.num_candidates), dtype=np.uint8)
-    points: list[ParetoPoint] = []
-    query = 0.0
-    while True:
+
+    def point_at(query: float) -> ParetoPoint:
+        nonlocal first, trees
         t0 = time.perf_counter()
         r = min(bisect_left(values, query - TOL), classes.size - 1)
         t1 = time.perf_counter()
@@ -165,19 +169,14 @@ def _trace_lattice(inc: IncrementVectors, lattice: _LatticeDP,
             trees = lattice.reconstruct_many(classes[r:r + lattice.batch_rows])
         t2 = time.perf_counter()
         selection = TreeSelection(trees[r - first].copy())
-        zf = selection.z.astype(np.float64)
-        i_x, i_y = float(zf @ inc.delta_x), float(zf @ inc.delta_y)
+        i_x, i_y = tree_information(selection, inc)
         t3 = time.perf_counter()
-        if points and i_y <= points[-1].d_hat_star + 1e-15:
-            break  # floating-point guard, as in the two-stage sweep
-        points.append(ParetoPoint(
+        return ParetoPoint(
             d_star=i_x, d_hat_star=i_y, selection=selection, d_hat_query=query,
             stage1_ms=(t1 - t0 + t3 - t2) * 1e3, stage2_ms=(t2 - t1) * 1e3,
-        ))
-        if i_y >= total - TOL:
-            break
-        query = min(i_y + eps_step, total)
-    return points
+        )
+
+    return point_at
 
 
 def write_pareto_csv(path, points, include_timings: bool = False, float_fmt: str = ".12g"):

@@ -180,18 +180,23 @@ def _as_z(selection, depth_l=None) -> np.ndarray:
 
 def is_valid_selection(selection, depth_l: int) -> bool:
     """True iff z[child] <= z[parent] for every parent/child candidate pair."""
-    return _first_violation(_as_z(selection, depth_l), depth_l) is None
+    return not _orphans(_as_z(selection, depth_l)).size
 
 
-def _first_violation(z: np.ndarray, depth_l: int) -> tuple[int, int] | None:
-    """(depth, morton) of the first child selected without its parent, or None."""
+def _orphans(z: np.ndarray, slack=0) -> np.ndarray:
+    """Ascending candidate indices whose entry exceeds their parent's by more
+    than slack; the parent of candidate i is (i - 1) // 4."""
+    children = np.arange(1, z.size)
+    return children[z[1:] > z[(children - 1) >> 2] + slack]
+
+
+def _drop_orphans(z: np.ndarray, depth_l: int) -> np.ndarray:
+    """Clear in place, top-down, every entry of a 0/1 or boolean vector whose
+    parent is clear, so that the rest forms a valid tree; returns z."""
     for d in range(1, depth_l):
         parents = z[depth_offset(d - 1):depth_offset(d)]
-        children = z[depth_offset(d):depth_offset(d + 1)]
-        bad = np.flatnonzero(children > np.repeat(parents, 4))
-        if bad.size:
-            return d, int(bad[0])
-    return None
+        z[depth_offset(d):depth_offset(d + 1)] &= np.repeat(parents, 4)
+    return z
 
 
 def _coordinates(indices: np.ndarray, depth_l: int) -> tuple[np.ndarray, np.ndarray]:
@@ -366,9 +371,9 @@ def read_tree_json(path, depth_l: int) -> tuple[TreeSelection, dict]:
     z = np.zeros(num_candidates(depth_l), dtype=np.uint8)
     z[depth_offset(nodes[:, 0]) + nodes[:, 1]] = 1
     selection = TreeSelection(z)
-    bad = _first_violation(z, depth_l)
-    if bad is not None:
-        d, m = bad
+    bad = _orphans(z)
+    if bad.size:
+        (d,), (m,) = _coordinates(bad[:1], depth_l)
         raise ValueError(
             f"tree document is not a valid selection: node (depth={d}, morton={m}) "
             f"selected without its parent (depth={d - 1}, morton={m >> 2})"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .increments import IncrementVectors
-from .quadtree import TreeSelection, depth_from_candidate_count, depth_offset
+from .quadtree import TreeSelection, _drop_orphans, _orphans, depth_from_candidate_count
 from .solver import TOL, SolveResult, _FLOOR_SLACK, _parametric_dual, _result_from_z
 
 __all__ = [
@@ -43,8 +43,7 @@ class FractionalSelection:
         depth_from_candidate_count(z.size)
         if np.any(z < -_PRECEDENCE_SLACK) or np.any(z > 1.0 + _PRECEDENCE_SLACK):
             raise ValueError("fractional entries must lie in [0, 1] up to 1e-9")
-        children = np.arange(1, z.size)  # parent of candidate i is (i - 1) // 4
-        if np.any(z[children] > z[(children - 1) // 4] + _PRECEDENCE_SLACK):
+        if _orphans(z, _PRECEDENCE_SLACK).size:
             raise ValueError("fractional selection violates precedence beyond 1e-9")
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
@@ -89,14 +88,8 @@ def round_selection(zfrac: FractionalSelection, delta: float) -> TreeSelection:
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    values = zfrac.values
-    z = (values >= delta).astype(np.uint8)
-    depth_l = zfrac.depth_l
-    for d in range(1, depth_l):
-        parents = z[depth_offset(d - 1):depth_offset(d)]
-        lo, hi = depth_offset(d), depth_offset(d + 1)
-        z[lo:hi] &= np.repeat(parents, 4)
-    return TreeSelection(z)
+    z = (zfrac.values >= delta).astype(np.uint8)
+    return TreeSelection(_drop_orphans(z, zfrac.depth_l))
 
 
 def relax_and_round(inc: IncrementVectors, d_hat: float,

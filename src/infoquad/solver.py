@@ -35,9 +35,10 @@ anchors, so the per-node bound dominates the plain knapsack bound as well.
 Per search node the bound update is a single K-vector operation.
 
 Feasibility tolerance is 1e-9 everywhere; ties within it are broken by
-smaller c . z, then larger g . z, then the lexicographically smallest
-selection vector: smaller rate before larger relevance for min-rate, larger
-relevance before smaller rate for the other two.
+smaller c . z, then larger g . z: smaller rate before larger relevance for
+min-rate, larger relevance before smaller rate for the other two.  Among
+trees tied on both, the search and brute_force_solve take the
+lexicographically smallest selection vector.
 
 Uniform priors get a better algorithm entirely.  There every node at depth d
 costs exactly 4^(l-1-d) units of ln(4)/4^(l-1) nats, so the rate objective is
@@ -45,21 +46,24 @@ integer-valued and one bottom-up max-plus convolution per world tabulates the
 maximal relevance at every attainable rate class.  All three programs then
 reduce to table lookups plus a deterministic reconstruction, with no search;
 rate classes are at least ln(4)/4^(l-1) nats apart (3.4e-4 at depth 7), so the
-1e-9 feasibility tolerance never straddles two classes.
+1e-9 feasibility tolerance never straddles two classes.  The reconstruction
+splits each node's class with the smallest classes for the first children,
+which among tied trees need not give the lexicographically smallest one.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .increments import IncrementVectors
-from .quadtree import (TreeSelection, depth_from_candidate_count, depth_offset,
-                       num_candidates)
+from .increments import IncrementVectors, tree_information
+from .quadtree import (TreeSelection, _drop_orphans, depth_from_candidate_count,
+                       depth_offset, num_candidates)
 
 __all__ = [
     "TOL",
@@ -127,19 +131,6 @@ def _closure_best(w: np.ndarray, depth_l: int) -> np.ndarray:
         kids = np.minimum(best[..., off[d + 1]:off[d + 2]], 0.0)
         best[..., off[d]:off[d + 1]] += kids.reshape(w.shape[:-1] + (-1, 4)).sum(axis=-1)
     return best
-
-
-def _closure_mask(best: np.ndarray, depth_l: int) -> np.ndarray:
-    """Members of the least-weight closure: negative nodes with all ancestors in."""
-    off = _offsets(depth_l)
-    negative = best < 0.0
-    mask = np.zeros(best.size, dtype=bool)
-    if best.size:
-        mask[0] = negative[0]
-    for d in range(1, depth_l):
-        parents = np.repeat(mask[off[d - 1]:off[d]], 4)
-        mask[off[d]:off[d + 1]] = negative[off[d]:off[d + 1]] & parents
-    return mask
 
 
 def _knapsack_ratio(c, g, bound) -> float:
@@ -210,7 +201,8 @@ def _parametric_dual(c, g, bound, depth_l):
         lam = (x_hi - x_lo) / (y_hi - y_lo)
         line = lam * (bound - y_lo) + x_lo
         best = _closure_best(c - lam * g, depth_l)
-        mask = _closure_mask(best, depth_l)
+        # the least-weight closure: negative nodes with all ancestors in
+        mask = _drop_orphans(best < 0.0, depth_l)
         x_c, y_c = float(c[mask].sum()), float(g[mask].sum())
         if lam * (bound - y_c) + x_c >= line - _DUAL_SLACK * (1.0 + abs(x_hi) + lam * abs(y_hi)):
             return lam, lam * bound + min(float(best[0]), 0.0), lo, hi
@@ -335,7 +327,9 @@ def _search(c, g, need, cap, ladder, seed_z, node_limit, depth_l):
     ones (children enter the queue only once their parent is selected), the
     seed's value is branched first, and a subtree is pruned when the
     undecided candidates cannot bring g.z into the row, or when its dual
-    bound cannot tie the incumbent within tolerance.
+    bound cannot tie the incumbent within tolerance.  A candidate whose
+    whole subtree has c = g = 0 stays 0 undecided: selecting it changes
+    neither sum and only makes the selection lexicographically larger.
 
     The search runs from an explicit stack of tasks: enter the decision at
     a queue position, take one value of a candidate, and undo a taken 1.  A
@@ -350,6 +344,10 @@ def _search(c, g, need, cap, ladder, seed_z, node_limit, depth_l):
     sub_g_up, sub_g_dn, sub_c_dn = _subtree_sums(clipped, depth_l).tolist()
     cL, gL = c.tolist(), g.tolist()
     lam, G, D1 = ladder.lam, ladder.G, ladder.D1
+    live = (_subtree_sums((c != 0) | (g != 0), depth_l) > 0).tolist()
+    inner = depth_offset(depth_l - 1)   # candidates with candidate children
+    live_kids = [tuple(k for k in range(4 * r + 1, 4 * r + 5) if live[k])
+                 for r in range(inner)] + [()] * (n - inner)
 
     best = None
     if seed_z is not None:
@@ -357,7 +355,7 @@ def _search(c, g, need, cap, ladder, seed_z, node_limit, depth_l):
     seed_first = seed_z.tolist() if seed_z is not None else [0] * n
 
     zcur = [0] * n
-    pending = [0]
+    pending = [0] if live[0] else []
     nodes = 0
     # rest_up / rest_dn: the most / least the undecided candidates can add
     # to g.z; rest_c: the least they can add to c.z
@@ -408,9 +406,7 @@ def _search(c, g, need, cap, ladder, seed_z, node_limit, depth_l):
         if v:
             zcur[r] = 1
             stack.append((_UNDO, r, len(pending)))
-            child = 4 * r + 1
-            if child + 3 < n:
-                pending.extend((child, child + 1, child + 2, child + 3))
+            pending.extend(live_kids[r])
         stack.append((_ENTER, pi + 1, fc, fg, s, rest_up, rest_dn, rest_c))
     return best, nodes
 
@@ -556,38 +552,33 @@ def _first_split(left, left_rows, right, right_rows, k, value) -> np.ndarray:
     return first - start + lo
 
 
+# the rate-class tables (or None) of each increments object, held only while
+# that object lives
+_LATTICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _lattice_for(inc: IncrementVectors) -> _LatticeDP | None:
-    """Build (and memoize) the rate-class tables when delta_x is depth-uniform
-    with the exact 4-to-1 depth scaling; None otherwise."""
-    cached = getattr(inc, "_lattice_dp", False)
-    if cached is not False:
-        return cached
-    lattice = None
-    a = inc.delta_x
-    depth_l = depth_from_candidate_count(a.size)
-    if depth_l >= 1:
-        unit = float(a[depth_offset(depth_l - 1)])
-        if unit > 0:
-            ok = True
-            for d in range(depth_l):
-                level = a[depth_offset(d):depth_offset(d + 1)]
-                expected = unit * 4 ** (depth_l - 1 - d)
-                if np.ptp(level) != 0.0 or abs(float(level[0]) - expected) > 1e-14 * expected:
-                    ok = False
-                    break
-            if ok:
-                lattice = _LatticeDP(inc, depth_l, unit)
-    object.__setattr__(inc, "_lattice_dp", lattice)
-    return lattice
+    """The rate-class tables when delta_x is depth-uniform with the exact
+    4-to-1 depth scaling, None otherwise; built once per increments object."""
+    if inc not in _LATTICES:
+        a = inc.delta_x
+        depth_l = depth_from_candidate_count(a.size)
+        unit = float(a[depth_offset(depth_l - 1)]) if depth_l else 0.0
+        uniform = unit > 0
+        for d in range(depth_l):
+            level = a[depth_offset(d):depth_offset(d + 1)]
+            expected = unit * 4 ** (depth_l - 1 - d)
+            if np.ptp(level) != 0.0 or abs(float(level[0]) - expected) > 1e-14 * expected:
+                uniform = False
+        _LATTICES[inc] = _LatticeDP(inc, depth_l, unit) if uniform else None
+    return _LATTICES[inc]
 
 
 def _result_from_z(z, inc: IncrementVectors, problem, nodes, t0) -> SolveResult:
     """The result of selection z for problem "min-rate" (objective i_x),
     "max-relevance" or "equality" (objective i_y)."""
     selection = TreeSelection(np.asarray(z, dtype=np.uint8))
-    zf = selection.z.astype(np.float64)
-    i_x = float(zf @ inc.delta_x)
-    i_y = float(zf @ inc.delta_y)
+    i_x, i_y = tree_information(selection, inc)
     objective = i_x if problem == "min-rate" else i_y
     return SolveResult(
         selection, i_x, i_y, objective, "optimal", nodes,
@@ -652,7 +643,9 @@ def solve_max_relevance(inc: IncrementVectors, budget_d: float,
     if lattice is not None:
         k_cap = min(int((cap / lattice.unit) + 1e-9), lattice.root.size - 1)
         feasible = lattice.root[:k_cap + 1]
-        k = int(np.argmax(feasible))  # first maximum: smaller rate on ties
+        # the cheapest class within TOL of the best: a dearer class can win
+        # the argmax by summation-order dust alone
+        k = int(np.flatnonzero(feasible >= feasible.max() - TOL)[0])
         return _result_from_z(lattice.reconstruct(k), inc, "max-relevance", 0, t0)
     z, nodes = _solve_covering(-b, -a, -cap, np.inf, _seed(-b, -a, -cap),
                                node_limit, depth_l)

@@ -39,10 +39,11 @@ def random_world(rng, depth_l, binary=False, uniform_prior=True, zero_prior=Fals
     return iq.world_from_cells(depth_l, relevance, prior)
 
 
-def blob_world(rng, depth_l, zero_weight=False):
+def blob_world(rng, depth_l, zero_weight=False, zero_quadrant=False):
     """Weighted binary world of a few smooth relevant blobs plus pixel noise,
     quantized to 8-bit gray levels, with log-normal cell weights; with
-    zero_weight a quarter of the cells weigh nothing."""
+    zero_weight a quarter of the cells weigh nothing, with zero_quadrant the
+    cells of the first Morton quadrant (the top-left one) do."""
     side = 2 ** depth_l
     yy, xx = np.mgrid[0:side, 0:side] + 0.5
     field = rng.normal(0.0, 0.05, (side, side))
@@ -54,6 +55,8 @@ def blob_world(rng, depth_l, zero_weight=False):
     weights = np.exp(rng.normal(0.0, 0.5, (side, side)))
     if zero_weight:
         weights[rng.random((side, side)) < 0.25] = 0.0
+    if zero_quadrant:
+        weights[:side // 2, :side // 2] = 0.0
     return iq.world_from_grid(np.rint(255 * np.clip(field, 0.0, 1.0)) / 255, weights)
 
 
@@ -319,6 +322,24 @@ READER_CASES = {
 def reader_case_document(selected, leaf_count):
     return json.dumps({"depth_l": 2, "selected": selected, "leaf_count": leaf_count,
                        "i_x_nats": 0.0, "i_y_nats": 0.0})
+
+
+def reference_direct_tree_information(world, selection):
+    """direct_tree_information as a loop over the leaves, one slice each."""
+    p_x = world.cell_prior
+    joint_xy = p_x[:, None] * world.cell_relevance
+    p_y = joint_xy.sum(axis=0)
+    i_x = i_y = 0.0
+    for _, lo, hi in reference_leaf_spans(selection):
+        p_t = p_x[lo:hi].sum()
+        if p_t <= 0:
+            continue
+        px = p_x[lo:hi][p_x[lo:hi] > 0]
+        i_x += float((px * np.log(px / (p_t * px))).sum())
+        p_ty = joint_xy[lo:hi].sum(axis=0)
+        ymask = p_ty > 0
+        i_y += float((p_ty[ymask] * np.log(p_ty[ymask] / (p_t * p_y[ymask]))).sum())
+    return i_x, i_y
 
 
 def reference_leaf_spans(selection):

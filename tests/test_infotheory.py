@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import infoquad as iq
-from helpers import quadrant_world, random_world, random_valid_selection
+from helpers import (quadrant_world, random_world, random_valid_selection,
+                     reference_direct_tree_information)
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -111,6 +112,19 @@ def test_direct_tree_information_data_processing_bound():
         sel = random_valid_selection(rng, depth_l, p_expand=rng.random())
         i_x, i_y = iq.direct_tree_information(world, sel)
         assert 0.0 <= i_y <= min(i_x, mi) + 1e-9
+
+
+def test_direct_tree_information_matches_the_leaf_loop():
+    # the sums run in another order, so the bound is a few float64 ulps of
+    # the largest term summed over at most 256 cells
+    rng = np.random.default_rng(10)
+    for _ in range(30):
+        depth_l = int(rng.integers(0, 5))
+        world = random_world(rng, depth_l, binary=bool(rng.integers(0, 2)),
+                             uniform_prior=bool(rng.integers(0, 2)), zero_prior=True)
+        sel = random_valid_selection(rng, depth_l, p_expand=rng.random())
+        got = iq.direct_tree_information(world, sel)
+        assert got == pytest.approx(reference_direct_tree_information(world, sel), abs=1e-12)
 
 
 def test_direct_i_x_equals_leaf_entropy():

@@ -1,4 +1,6 @@
+import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -209,6 +211,30 @@ def test_both_solver_paths_are_exercised():
     assert _lattice_for(skewed) is None
 
 
+def test_lattice_cache_lives_beside_the_increments():
+    inc = iq.compute_increments(random_world(np.random.default_rng(27), 3))
+    total = float(inc.delta_y.sum())
+    iq.solve_min_rate(inc, 0.5 * total)
+    iq.solve_max_relevance(inc, 0.5 * float(inc.delta_x.sum()))
+    iq.trace_pareto(inc)
+    assert set(vars(inc)) == {"delta_x", "delta_y"}
+    lattice = _lattice_for(inc)
+    assert lattice is not None and _lattice_for(inc) is lattice
+    ref = weakref.ref(lattice)
+    del inc, lattice
+    gc.collect()
+    assert ref() is None
+
+
+def test_lattice_max_relevance_takes_the_cheapest_tied_class():
+    # a dearer class beats the oracle's tree only by summation-order dust
+    inc = iq.compute_increments(random_world(np.random.default_rng(6), 3, binary=True))
+    budget = 0.5 * float(inc.delta_x.sum())
+    mine = iq.solve_max_relevance(inc, budget)
+    oracle = iq.brute_force_solve(inc, "max-relevance", budget)
+    assert (mine.i_x, mine.i_y) == (oracle.i_x, oracle.i_y)
+
+
 def test_min_rate_objective_monotone_in_floor():
     rng = np.random.default_rng(23)
     for uniform in (True, False):
@@ -398,6 +424,16 @@ def test_equality_seed_outside_the_band_is_refused():
         iq.solve_equality_max_relevance(inc, d_star)
     with pytest.raises(ValueError, match="seed selection"):
         iq.solve_equality_max_relevance(inc, d_star, seed_selection=seed)
+
+
+def test_search_skips_zero_mass_subtrees():
+    # trees that differ only inside the weightless quadrant tie exactly
+    world = blob_world(np.random.default_rng(1), 4, zero_quadrant=True)
+    inc = iq.compute_increments(world)
+    floor = 0.8 * iq.mutual_info_xy(world)
+    result = iq.solve_min_rate(inc, floor, node_limit=20_000)
+    assert result.i_y >= floor - 1e-9
+    assert result.selection.z[1] == 0  # the quadrant's node (1, 0) stays unsplit
 
 
 def test_search_effort_does_not_grow():
