@@ -53,7 +53,6 @@ from .solver import (
     brute_force_solve,
     count_valid_selections,
     enumerate_valid_selections,
-    solve_equality_max_relevance,
     solve_max_relevance,
     solve_min_rate,
 )
@@ -81,8 +80,8 @@ __all__ = [
     "node_delta_x", "node_delta_y", "compute_increments", "tree_information",
     "write_increments_csv",
     "SolveResult", "ResourceLimitExceeded", "solve_min_rate", "solve_max_relevance",
-    "solve_equality_max_relevance", "enumerate_valid_selections", "brute_force_solve",
-    "count_valid_selections", "TOL", "DEFAULT_NODE_LIMIT",
+    "enumerate_valid_selections", "brute_force_solve", "count_valid_selections",
+    "TOL", "DEFAULT_NODE_LIMIT",
     "FractionalSelection", "solve_lp_relaxation", "round_selection", "relax_and_round",
     "ParetoPoint", "is_dominated", "pareto_point", "trace_pareto", "write_pareto_csv",
     "DEFAULT_EPS_STEP",

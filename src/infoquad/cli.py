@@ -3,7 +3,8 @@
 Commands: abstract, pareto, infoplane, relax, validate, increments.  All
 output is deterministic byte for byte: CSV floats use 12 significant digits
 and timing columns stay zero unless --timings is passed.  Exit codes: 0 ok,
-1 infeasible or inconsistent, 2 I/O or format error.
+1 infeasible, inconsistent, or an exact search that hit its --node-limit,
+2 I/O or format error (argparse also exits 2 on a bad option).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .relaxation import relax_and_round, round_selection, solve_lp_relaxation
 from .solver import (
     DEFAULT_NODE_LIMIT,
     TOL,
+    ResourceLimitExceeded,
     solve_max_relevance,
     solve_min_rate,
 )
@@ -197,9 +199,19 @@ def _add_input(parser, with_prior=True):
         )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_node_limit(parser):
     parser.add_argument(
-        "--node-limit", type=int, default=DEFAULT_NODE_LIMIT,
+        "--node-limit", type=_positive_int, default=DEFAULT_NODE_LIMIT,
         help="exact-search node budget before a resource-limit failure",
     )
 
@@ -269,9 +281,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except ResourceLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,19 +1,19 @@
 """Tracing the Pareto-optimal compression/relevance pairs of a world.
 
-A min-rate solve alone need not be Pareto efficient: several trees can share
-the optimal rate while retaining different amounts of relevant information.
-Each traced point is therefore the relevance-maximal tree among those at the
-minimal rate meeting a relevance floor.  Sweeping the floor adaptively (next
-query = last achieved relevance plus a small step) visits every achievable
-relevance level without a grid.
+Each traced point is the relevance-maximal tree among those at the minimal
+rate meeting a relevance floor.  One min-rate solve gives it: several trees
+can share the optimal rate while retaining different amounts of relevant
+information, and the solver breaks rate ties within 1e-9 by the larger
+relevance.  Sweeping the floor adaptively (next query = last achieved
+relevance plus a small step) visits every achievable relevance level without
+a grid.
 
 Uniform priors read the whole frontier off the rate-class lattice: the root
 table holds the maximal relevance of every integer rate class, so the classes
 a floor can select are the strict prefix records of that one array.  All
 records are reconstructed in batched level-by-level passes and the floor sweep
-replays over them, with no solve per point.  Weighted priors run the sweep as
-a two-stage trace: minimize the rate under the floor, then maximize relevance
-among trees pinned to that optimal rate.
+replays over them, with no solve per point.  Weighted priors run the sweep
+with one min-rate search per point.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .solver import (
     TOL,
     _lattice_for,
     _LatticeDP,
-    solve_equality_max_relevance,
     solve_min_rate,
 )
 
@@ -78,9 +77,10 @@ def pareto_point(inc: IncrementVectors, d_hat: float,
                  node_limit: int = DEFAULT_NODE_LIMIT) -> ParetoPoint:
     """Pareto-optimal value pair for one relevance floor.
 
-    Stage one finds the minimal rate D* meeting the floor; stage two maximizes
-    relevance among trees whose rate equals D*.  The result dominates the
-    floor: d_hat_star >= d_hat - 1e-9.
+    One min-rate solve finds the minimal rate D* meeting the floor, and its
+    tie rule makes the tree the most relevant one at D*; stage1_ms is that
+    solve and stage2_ms is 0.  The result dominates the floor:
+    d_hat_star >= d_hat - 1e-9.
     """
     total = float(inc.delta_y.sum())
     if d_hat < 0:
@@ -90,19 +90,13 @@ def pareto_point(inc: IncrementVectors, d_hat: float,
             f"d_hat {d_hat!r} exceeds the total relevance I(X;Y) = {total!r}"
         )
     t0 = time.perf_counter()
-    stage1 = solve_min_rate(inc, d_hat, node_limit=node_limit)
-    t1 = time.perf_counter()
-    stage2 = solve_equality_max_relevance(
-        inc, stage1.i_x, node_limit=node_limit, seed_selection=stage1.selection,
-    )
-    t2 = time.perf_counter()
+    result = solve_min_rate(inc, d_hat, node_limit=node_limit)
     return ParetoPoint(
-        d_star=stage2.i_x,
-        d_hat_star=stage2.i_y,
-        selection=stage2.selection,
+        d_star=result.i_x,
+        d_hat_star=result.i_y,
+        selection=result.selection,
         d_hat_query=d_hat,
-        stage1_ms=(t1 - t0) * 1e3,
-        stage2_ms=(t2 - t1) * 1e3,
+        stage1_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 

@@ -6,20 +6,18 @@ one information row:
   min-rate        minimize z . delta_x   subject to z . delta_y >= d_hat
   max-relevance   maximize z . delta_y   subject to z . delta_x <= budget
 
-plus an equality variant (z . delta_x pinned to a value d_star attained by
-some tree) used by the Pareto trace.  Validity (a child selected only with
-its parent) is built into the search: a candidate is branched on only once
-its parent is selected, so every explored assignment is a tree.
+Validity (a child selected only with its parent) is built into the search:
+a candidate is branched on only once its parent is selected, so every
+explored assignment is a tree.
 
-Non-uniform priors run every program as one covering search,
+Non-uniform priors run both programs as one covering search,
 
-  minimize c . z   subject to need <= g . z <= cap,
+  minimize c . z   subject to g . z >= need,
 
-with min-rate as (delta_x, delta_y, d_hat, inf), max-relevance as
-(-delta_y, -delta_x, -budget, inf) and the equality band
-[lo, hi] = [d_star - 1e-12, d_star + 1e-12] as (-delta_y, -delta_x, -hi, -lo).
-Negation is exact in floating point, so each program makes the same
-comparisons as in its direct form, and one greedy seed serves all three.
+with min-rate as (delta_x, delta_y, d_hat) and max-relevance as
+(-delta_y, -delta_x, -budget).  Negation is exact in floating point, so each
+program makes the same comparisons as in its direct form, and one greedy
+seed serves both.
 Bounds come from the Lagrangian dual of the row over the tree-validity
 polytope.  For a fixed multiplier lam the inner problem is a minimum-weight
 ancestor-closed subtree of c - lam * g, solved in one bottom-up pass.  The
@@ -36,14 +34,16 @@ Per search node the bound update is a single K-vector operation.
 
 Feasibility tolerance is 1e-9 everywhere; ties within it are broken by
 smaller c . z, then larger g . z: smaller rate before larger relevance for
-min-rate, larger relevance before smaller rate for the other two.  Among
+min-rate, larger relevance before smaller rate for max-relevance.  Among
 trees tied on both, the search and brute_force_solve take the
-lexicographically smallest selection vector.
+lexicographically smallest selection vector.  A min-rate solve therefore
+returns a most relevant tree among those of minimal rate, which is a Pareto
+point: the frontier trace needs no second program.
 
 Uniform priors get a better algorithm entirely.  There every node at depth d
 costs exactly 4^(l-1-d) units of ln(4)/4^(l-1) nats, so the rate objective is
 integer-valued and one bottom-up max-plus convolution per world tabulates the
-maximal relevance at every attainable rate class.  All three programs then
+maximal relevance at every attainable rate class.  Both programs then
 reduce to table lookups plus a deterministic reconstruction, with no search;
 rate classes are at least ln(4)/4^(l-1) nats apart (3.4e-4 at depth 7), so the
 1e-9 feasibility tolerance never straddles two classes.  The reconstruction
@@ -72,7 +72,6 @@ __all__ = [
     "ResourceLimitExceeded",
     "solve_min_rate",
     "solve_max_relevance",
-    "solve_equality_max_relevance",
     "enumerate_valid_selections",
     "brute_force_solve",
     "count_valid_selections",
@@ -89,7 +88,6 @@ _LADDER_STEPS = 29
 # cycle.
 _FLOOR_SLACK = 1e-12    # relative to the row's total
 _DUAL_SLACK = 1e-14     # relative to the magnitude of a dual line
-_EQUALITY_BAND = 1e-12  # the rate-pinned search's half-width around d_star
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -319,14 +317,14 @@ def _better(fc, fg, pack_fn, inc: _Incumbent) -> bool:
 _ENTER, _BRANCH, _UNDO = range(3)   # the search's task kinds
 
 
-def _search(c, g, need, cap, ladder, seed_z, node_limit, depth_l):
-    """Depth-first exact search of min c.z s.t. need <= g.z <= cap; returns
-    (incumbent or None, nodes_explored).
+def _search(c, g, need, ladder, seed_z, node_limit, depth_l):
+    """Depth-first exact search of min c.z s.t. g.z >= need from the seed
+    selection seed_z as first incumbent; returns (z, nodes_explored).
 
     Candidates are decided in canonical order among the currently available
     ones (children enter the queue only once their parent is selected), the
     seed's value is branched first, and a subtree is pruned when the
-    undecided candidates cannot bring g.z into the row, or when its dual
+    undecided candidates cannot bring g.z up to need, or when its dual
     bound cannot tie the incumbent within tolerance.  A candidate whose
     whole subtree has c = g = 0 stays 0 undecided: selecting it changes
     neither sum and only makes the selection lexicographically larger.
@@ -337,11 +335,11 @@ def _search(c, g, need, cap, ladder, seed_z, node_limit, depth_l):
     candidate is judged against the incumbent its sibling's subtree left.
     """
     n = c.size
-    # per candidate, the most and the least it can add to g.z and the least
-    # it can add to c.z; alone and summed over its subtree
-    clipped = np.stack([np.maximum(g, 0.0), np.minimum(g, 0.0), np.minimum(c, 0.0)])
-    g_up, g_dn, c_dn = clipped.tolist()
-    sub_g_up, sub_g_dn, sub_c_dn = _subtree_sums(clipped, depth_l).tolist()
+    # per candidate, the most it can add to g.z and the least it can add to
+    # c.z; alone and summed over its subtree
+    clipped = np.stack([np.maximum(g, 0.0), np.minimum(c, 0.0)])
+    g_up, c_dn = clipped.tolist()
+    sub_g_up, sub_c_dn = _subtree_sums(clipped, depth_l).tolist()
     cL, gL = c.tolist(), g.tolist()
     lam, G, D1 = ladder.lam, ladder.G, ladder.D1
     live = (_subtree_sums((c != 0) | (g != 0), depth_l) > 0).tolist()
@@ -349,17 +347,15 @@ def _search(c, g, need, cap, ladder, seed_z, node_limit, depth_l):
     live_kids = [tuple(k for k in range(4 * r + 1, 4 * r + 5) if live[k])
                  for r in range(inner)] + [()] * (n - inner)
 
-    best = None
-    if seed_z is not None:
-        best = _Incumbent(float(c @ seed_z), float(g @ seed_z), seed_z)
-    seed_first = seed_z.tolist() if seed_z is not None else [0] * n
+    best = _Incumbent(float(c @ seed_z), float(g @ seed_z), seed_z)
+    seed_first = seed_z.tolist()
 
     zcur = [0] * n
     pending = [0] if live[0] else []
     nodes = 0
-    # rest_up / rest_dn: the most / least the undecided candidates can add
-    # to g.z; rest_c: the least they can add to c.z
-    stack = [(_ENTER, 0, 0.0, 0.0, G[0].copy(), sub_g_up[0], sub_g_dn[0], sub_c_dn[0])]
+    # rest_up: the most the undecided candidates can add to g.z; rest_c: the
+    # least they can add to c.z
+    stack = [(_ENTER, 0, 0.0, 0.0, G[0].copy(), sub_g_up[0], sub_c_dn[0])]
     while stack:
         task = stack.pop()
         if task[0] == _UNDO:
@@ -368,10 +364,9 @@ def _search(c, g, need, cap, ladder, seed_z, node_limit, depth_l):
             zcur[r] = 0
             continue
         if task[0] == _ENTER:
-            _, pi, fc, fg, s, rest_up, rest_dn, rest_c = task
+            _, pi, fc, fg, s, rest_up, rest_c = task
             if pi == len(pending):
-                if need <= fg <= cap and (
-                        best is None or _better(fc, fg, lambda: _pack_bits(zcur), best)):
+                if fg >= need and _better(fc, fg, lambda: _pack_bits(zcur), best):
                     best = _Incumbent(fc, fg, zcur)
                 continue
             nodes += 2
@@ -382,44 +377,40 @@ def _search(c, g, need, cap, ladder, seed_z, node_limit, depth_l):
                 )
             r = pending[pi]
             first = seed_first[r]
-            stack.append((_BRANCH, pi, r, 1 - first, fc, fg, s, rest_up, rest_dn, rest_c))
-            stack.append((_BRANCH, pi, r, first, fc, fg, s, rest_up, rest_dn, rest_c))
+            stack.append((_BRANCH, pi, r, 1 - first, fc, fg, s, rest_up, rest_c))
+            stack.append((_BRANCH, pi, r, first, fc, fg, s, rest_up, rest_c))
             continue
-        _, pi, r, v, fc, fg, s, rest_up, rest_dn, rest_c = task
+        _, pi, r, v, fc, fg, s, rest_up, rest_c = task
         if v:
             fc += cL[r]
             fg += gL[r]
             rest_up -= g_up[r]
-            rest_dn -= g_dn[r]
             rest_c -= c_dn[r]
         else:
             rest_up -= sub_g_up[r]
-            rest_dn -= sub_g_dn[r]
             rest_c -= sub_c_dn[r]
-        if fg + rest_up < need or fg + rest_dn > cap:
+        if fg + rest_up < need:
             continue
         s = s + D1[r] if v else s - G[r]
-        if best is not None:
-            worst = best.c + TOL
-            if fc + rest_c > worst or fc + float((lam * (need - fg) + s).max()) > worst:
-                continue
+        worst = best.c + TOL
+        if fc + rest_c > worst or fc + float((lam * (need - fg) + s).max()) > worst:
+            continue
         if v:
             zcur[r] = 1
             stack.append((_UNDO, r, len(pending)))
             pending.extend(live_kids[r])
-        stack.append((_ENTER, pi + 1, fc, fg, s, rest_up, rest_dn, rest_c))
-    return best, nodes
+        stack.append((_ENTER, pi + 1, fc, fg, s, rest_up, rest_c))
+    return best.z, nodes
 
 
-def _solve_covering(c, g, need, cap, seed_z, node_limit, depth_l):
-    """(z, nodes_explored) of min c.z s.t. need <= g.z <= cap: the seed when
-    the root bound certifies it, else the search's optimum; z is None when no
-    selection meets the row."""
+def _solve_covering(c, g, need, node_limit, depth_l):
+    """(z, nodes_explored) of min c.z s.t. g.z >= need: the greedy seed when
+    the root bound certifies it, else the search's optimum."""
+    seed_z = _seed(c, g, need)
     ladder = _ladder(c, g, need, depth_l)
-    if seed_z is not None and float(c @ seed_z) <= ladder.root_bound + TOL:
+    if float(c @ seed_z) <= ladder.root_bound + TOL:
         return seed_z, 0
-    best, nodes = _search(c, g, need, cap, ladder, seed_z, node_limit, depth_l)
-    return (None if best is None else best.z), nodes
+    return _search(c, g, need, ladder, seed_z, node_limit, depth_l)
 
 
 _NEG = -1e300
@@ -575,8 +566,8 @@ def _lattice_for(inc: IncrementVectors) -> _LatticeDP | None:
 
 
 def _result_from_z(z, inc: IncrementVectors, problem, nodes, t0) -> SolveResult:
-    """The result of selection z for problem "min-rate" (objective i_x),
-    "max-relevance" or "equality" (objective i_y)."""
+    """The result of selection z for problem "min-rate" (objective i_x) or
+    "max-relevance" (objective i_y)."""
     selection = TreeSelection(np.asarray(z, dtype=np.uint8))
     i_x, i_y = tree_information(selection, inc)
     objective = i_x if problem == "min-rate" else i_y
@@ -620,8 +611,7 @@ def solve_min_rate(inc: IncrementVectors, d_hat: float,
         # of a floor that sits right at the feasibility edge
         k = int(hits[0]) if hits.size else int(np.argmax(lattice.root))
         return _result_from_z(lattice.reconstruct(k), inc, "min-rate", 0, t0)
-    z, nodes = _solve_covering(a, b, need, np.inf, _seed(a, b, need),
-                               node_limit, depth_l)
+    z, nodes = _solve_covering(a, b, need, node_limit, depth_l)
     return _result_from_z(z, inc, "min-rate", nodes, t0)
 
 
@@ -647,51 +637,8 @@ def solve_max_relevance(inc: IncrementVectors, budget_d: float,
         # the argmax by summation-order dust alone
         k = int(np.flatnonzero(feasible >= feasible.max() - TOL)[0])
         return _result_from_z(lattice.reconstruct(k), inc, "max-relevance", 0, t0)
-    z, nodes = _solve_covering(-b, -a, -cap, np.inf, _seed(-b, -a, -cap),
-                               node_limit, depth_l)
+    z, nodes = _solve_covering(-b, -a, -cap, node_limit, depth_l)
     return _result_from_z(z, inc, "max-relevance", nodes, t0)
-
-
-def solve_equality_max_relevance(inc: IncrementVectors, d_star: float,
-                                 node_limit: int = DEFAULT_NODE_LIMIT,
-                                 seed_selection: TreeSelection | None = None) -> SolveResult:
-    """Most relevant valid tree whose rate equals d_star.
-
-    d_star must be attained by some valid tree (callers obtain it from
-    solve_min_rate; its selection makes a good seed).  With a uniform prior
-    the rate classes lie farther apart than the 1e-9 tolerance, and the class
-    within it is looked up.  Otherwise the search pins the rate to the band
-    d_star +- 1e-12, which a seed must meet too.
-    """
-    t0 = time.perf_counter()
-    a, b = inc.delta_x, inc.delta_y
-    depth_l = depth_from_candidate_count(a.size)
-    if a.size == 0:
-        if abs(d_star) > TOL:
-            raise ValueError(f"no valid selection attains rate {d_star!r}")
-        return _result_from_z(np.zeros(0, np.uint8), inc, "equality", 0, t0)
-    lattice = _lattice_for(inc)
-    band = TOL if lattice is not None else _EQUALITY_BAND
-    seed = None
-    if seed_selection is not None:
-        seed = seed_selection.z.astype(np.uint8)
-        if abs(float(a @ seed) - d_star) > band:
-            raise ValueError(f"seed selection does not attain d_star within {band!r}")
-    if lattice is not None:
-        # the tolerance band around an attained rate contains exactly one class
-        k = int(round(d_star / lattice.unit))
-        if (not 0 <= k < lattice.root.size
-                or abs(k * lattice.unit - d_star) > TOL
-                or lattice.root[k] <= _NEG / 2):
-            raise ValueError(
-                f"no valid selection attains rate {d_star!r} within tolerance"
-            )
-        return _result_from_z(lattice.reconstruct(k), inc, "equality", 0, t0)
-    lo, hi = d_star - band, d_star + band
-    z, nodes = _solve_covering(-b, -a, -hi, -lo, seed, node_limit, depth_l)
-    if z is None:
-        raise ValueError(f"no valid selection attains rate {d_star!r} within {band!r}")
-    return _result_from_z(z, inc, "equality", nodes, t0)
 
 
 @lru_cache(maxsize=8)
@@ -750,8 +697,8 @@ def enumerate_valid_selections(depth_l: int):
 def brute_force_solve(inc: IncrementVectors, problem: str, bound: float) -> SolveResult:
     """Exhaustive-scan oracle, ties broken exactly like the search solvers.
 
-    problem is "min-rate", "max-relevance" or "equality"; bound is the
-    matching d_hat, budget or pinned rate.
+    problem is "min-rate" or "max-relevance"; bound is the matching d_hat or
+    budget.
     """
     t0 = time.perf_counter()
     depth_l = depth_from_candidate_count(inc.num_candidates)
@@ -775,15 +722,6 @@ def brute_force_solve(inc: IncrementVectors, problem: str, bound: float) -> Solv
         if bound < 0:
             raise ValueError(f"negative budget: {bound}")
         feasible = ix <= bound + TOL
-        candidates = np.flatnonzero(feasible)
-        best_obj = iy[candidates].max()
-        candidates = candidates[iy[candidates] >= best_obj - TOL]
-        best_ix = ix[candidates].min()
-        candidates = candidates[ix[candidates] <= best_ix + TOL]
-    elif problem == "equality":
-        feasible = np.abs(ix - bound) <= TOL
-        if not feasible.any():
-            raise ValueError(f"no valid selection attains rate {bound!r}")
         candidates = np.flatnonzero(feasible)
         best_obj = iy[candidates].max()
         candidates = candidates[iy[candidates] >= best_obj - TOL]

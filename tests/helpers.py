@@ -244,26 +244,6 @@ def reference_seed_pack(b, a, cap):
     return z.astype(np.uint8)
 
 
-def reference_equality_band_loop(inc, d_star, seed=None, node_limit=50_000_000):
-    """Rate-pinned search over a band shrunk tenfold from 1e-9 until the
-    maximizer lies within 1e-12 of d_star or the band is 1e-12; returns the
-    selection vector.  A reference for the one-band equality search."""
-    from infoquad.quadtree import depth_from_candidate_count
-    from infoquad.solver import _solve_covering
-
-    a, b = inc.delta_x, inc.delta_y
-    depth_l = depth_from_candidate_count(a.size)
-    band = 1e-9
-    while True:
-        lo, hi = d_star - band, d_star + band
-        z, _ = _solve_covering(-b, -a, -hi, -lo, seed, node_limit, depth_l)
-        if z is None:
-            raise ValueError(f"no valid selection attains rate {d_star!r} within {band!r}")
-        if abs(float(np.asarray(z, dtype=np.float64) @ a) - d_star) <= 1e-12 or band <= 1e-12:
-            return np.asarray(z, dtype=np.uint8)
-        band = max(band / 10.0, 1e-12)
-
-
 def write_text(path, text):
     with open(path, "w") as fh:
         fh.write(text)

@@ -107,6 +107,37 @@ def test_abstract_bad_pgm_exits_two(tmp_path, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["abstract", "--mode", "min-rate", "--dhat-frac", "0.8"],
+    ["pareto", "--out", "pareto.csv"],
+    ["infoplane", "--sweep", "3", "--out", "plane.csv"],
+], ids=["abstract", "pareto", "infoplane"])
+def test_node_limit_exits_one_with_one_error_line(tmp_path, capsys, command):
+    # a 16x16 i.i.d. gray map with a log-normal prior needs more than 50
+    # search nodes at these floors
+    rng = np.random.default_rng(5)
+    side = 16
+    pgm, prior = tmp_path / "map.pgm", tmp_path / "prior.txt"
+    write_text(pgm, f"P2\n{side} {side}\n255\n" + "\n".join(
+        " ".join(map(str, row)) for row in rng.integers(0, 256, (side, side))) + "\n")
+    write_text(prior, "\n".join(map(repr, np.exp(rng.normal(0, 0.5, side * side)).tolist())))
+    argv = [*command, "--input", str(pgm), "--prior", str(prior), "--node-limit", "50"]
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: node-exploration limit of 50 reached")
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_node_limit_must_be_positive(quad_pgm, capsys, limit):
+    with pytest.raises(SystemExit) as exc:
+        main(["abstract", "--input", str(quad_pgm), "--mode", "min-rate",
+              "--dhat", "0", "--node-limit", limit])
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
 def test_abstract_with_prior(quad_pgm, tmp_path, capsys):
     prior = tmp_path / "prior.txt"
     # all mass on the top-left quadrant rows

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,12 @@ QUAD_RATE = 1.7328679513998633
 LN4 = 1.3862943611198906
 
 
+@lru_cache(maxsize=None)
+def all_selections(depth_l):
+    """Every valid selection of a depth-l tree, one float row each."""
+    return np.stack([sel.z for sel in iq.enumerate_valid_selections(depth_l)]).astype(float)
+
+
 def oracle_pareto_values(inc, depth_l):
     """Dominance filter over full enumeration: the reference value set.
 
@@ -18,7 +26,7 @@ def oracle_pareto_values(inc, depth_l):
     the tolerance and not less relevant beyond it, or one at most as costly
     within the tolerance and more relevant beyond it.
     """
-    Z = np.stack([sel.z for sel in iq.enumerate_valid_selections(depth_l)]).astype(float)
+    Z = all_selections(depth_l)
     ix, iy = Z @ inc.delta_x, Z @ inc.delta_y
     order = np.argsort(ix, kind="stable")
     sorted_ix, best_iy = ix[order], np.maximum.accumulate(iy[order])
@@ -69,7 +77,7 @@ def test_pareto_point_rejects_excess_floor():
 
 
 def test_pareto_point_repairs_min_rate_solution():
-    # at the tied optimal rate the two-stage point must pick the relevant tree
+    # at the tied optimal rate the point must pick the more relevant tree
     inc = iq.compute_increments(quadrant_world())
     point = iq.pareto_point(inc, 0.1)
     assert point.d_star == pytest.approx(LN4, abs=1e-9)
@@ -142,8 +150,7 @@ def test_trace_rejects_bad_step():
 
 
 def test_min_rate_solutions_weakly_dominated_by_trace():
-    # the min-rate solver may return a rate-tied but less relevant tree; some
-    # traced point at the same rate must cover it
+    # some traced point at the rate of every min-rate optimum covers it
     rng = np.random.default_rng(42)
     for _ in range(10):
         world = random_world(rng, 2, uniform_prior=bool(rng.integers(0, 2)))
@@ -171,8 +178,8 @@ def test_pareto_csv_written_sorted(tmp_path):
     assert all(line.split(",")[4] == "0" for line in lines[1:])
 
 
-def two_stage_trace(inc, eps_step):
-    """The floor sweep with one pareto_point (two solves) per point."""
+def point_by_point_trace(inc, eps_step):
+    """The floor sweep with one pareto_point (one min-rate solve) per point."""
     total = float(inc.delta_y.sum())
     points = [iq.pareto_point(inc, 0.0)]
     while points[-1].d_hat_star < total - 1e-9:
@@ -190,7 +197,7 @@ def test_lattice_trace_equals_two_stage_trace(depth_l, seed, eps_step):
     inc = iq.compute_increments(world)
     assert _lattice_for(inc) is not None
     got = iq.trace_pareto(inc, eps_step=eps_step)
-    want = two_stage_trace(inc, eps_step)
+    want = point_by_point_trace(inc, eps_step)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g.d_star, g.d_hat_star, g.d_hat_query) == (w.d_star, w.d_hat_star, w.d_hat_query)
@@ -212,28 +219,33 @@ def test_batched_reconstruction_matches_node_by_node(depth_l, binary):
 
 
 def test_weighted_trace_uses_the_solvers_and_matches_oracle(monkeypatch):
+    """One min-rate solve per traced point (plus at most one that the
+    floating-point guard discards), and the oracle's value pairs, on weighted
+    i.i.d., binary (many tied rates) and zero-weight worlds."""
     calls = []
 
-    def counted(solve):
-        def wrapper(*args, **kwargs):
-            calls.append(solve.__name__)
-            return solve(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_min_rate(*args, **kwargs)
 
-    for name in ("solve_min_rate", "solve_equality_max_relevance"):
-        monkeypatch.setattr(pareto, name, counted(getattr(pareto, name)))
+    solve_min_rate = pareto.solve_min_rate
+    monkeypatch.setattr(pareto, "solve_min_rate", counted)
     rng = np.random.default_rng(43)
     uniform = iq.compute_increments(random_world(rng, 3))
     iq.trace_pareto(uniform)
     assert calls == []  # the lattice answers uniform priors alone
-    for _ in range(2):
-        inc = iq.compute_increments(random_world(rng, 3, uniform_prior=False))
-        assert _lattice_for(inc) is None
-        points = iq.trace_pareto(inc)
-        assert calls.count("solve_min_rate") == calls.count("solve_equality_max_relevance")
-        assert calls.count("solve_min_rate") >= len(points)
-        expected = oracle_pareto_values(inc, 3)
-        assert len(points) == len(expected)
-        for p, want in zip(points, expected):
-            assert p.d_star == pytest.approx(want[0], abs=1e-9)
-            assert p.d_hat_star == pytest.approx(want[1], abs=1e-9)
+    for depth_l in (1, 2, 3):
+        for kind in ("iid", "binary", "zero-weight") * 3:
+            inc = iq.compute_increments(random_world(
+                rng, depth_l, binary=kind == "binary", uniform_prior=False,
+                zero_prior=kind == "zero-weight"))
+            calls.clear()
+            points = iq.trace_pareto(inc)
+            # a lone candidate of positive rate is depth-uniform: the lattice answers
+            assert (_lattice_for(inc) is None) == (depth_l > 1)
+            assert len(calls) == 0 if depth_l == 1 else len(points) <= len(calls) <= len(points) + 1
+            expected = oracle_pareto_values(inc, depth_l)
+            assert len(points) == len(expected)
+            for p, want in zip(points, expected):
+                assert p.d_star == pytest.approx(want[0], abs=1e-9)
+                assert p.d_hat_star == pytest.approx(want[1], abs=1e-9)

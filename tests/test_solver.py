@@ -7,8 +7,7 @@ import pytest
 
 import infoquad as iq
 from infoquad.solver import _knapsack_ratio, _ladder, _lattice_for, _parametric_dual, _seed
-from helpers import (blob_world, quadrant_world, random_valid_selection, random_world,
-                     reference_equality_band_loop, reference_knapsack_ratio_cover,
+from helpers import (blob_world, quadrant_world, random_world, reference_knapsack_ratio_cover,
                      reference_knapsack_ratio_pack, reference_pack_lp_objective,
                      reference_seed_cover, reference_seed_pack)
 
@@ -76,29 +75,6 @@ def test_max_relevance_rejects_negative(quad_inc):
         iq.solve_max_relevance(quad_inc, -1.0)
 
 
-def test_equality_trivial_cases(quad_inc):
-    result = iq.solve_equality_max_relevance(quad_inc, 0.0)
-    assert result.selection.num_selected == 0
-    total = float(quad_inc.delta_x.sum())
-    result = iq.solve_equality_max_relevance(quad_inc, total)
-    assert result.selection.num_selected == 5
-    assert result.objective == pytest.approx(QUAD_I_XY, abs=1e-9)
-
-
-def test_equality_prefers_most_relevant_tree_at_tied_rate(quad_inc):
-    # [1,1,0,0,0] and [1,0,1,0,0] share the same rate; relevance differs
-    z_best = iq.TreeSelection(np.array([1, 1, 0, 0, 0], np.uint8))
-    z_alt = iq.TreeSelection(np.array([1, 0, 1, 0, 0], np.uint8))
-    rate_best = iq.tree_information(z_best, quad_inc)
-    rate_alt = iq.tree_information(z_alt, quad_inc)
-    assert rate_best[0] == pytest.approx(rate_alt[0], abs=1e-12)
-    assert rate_best[1] > rate_alt[1]
-    result = iq.solve_equality_max_relevance(quad_inc, rate_best[0])
-    assert result.objective == pytest.approx(rate_best[1], abs=1e-9)
-    oracle = iq.brute_force_solve(quad_inc, "equality", rate_best[0])
-    assert result.objective == pytest.approx(oracle.objective, abs=1e-9)
-
-
 def test_weighted_rate_tie_prefers_the_more_relevant_tree():
     # every quadrant holds a permutation of one prior, so expanding any of
     # them costs the same rate; quadrants 0 and 1 add relevance, 0 the more
@@ -114,11 +90,6 @@ def test_weighted_rate_tie_prefers_the_more_relevant_tree():
     assert result.nodes_explored > 0
     assert result.selection.z.tolist() == [1, 1, 0, 0, 0]
     assert result.selection == iq.brute_force_solve(inc, "min-rate", d_hat).selection
-
-
-def test_equality_unattained_rate_errors(quad_inc):
-    with pytest.raises(ValueError, match="attains"):
-        iq.solve_equality_max_relevance(quad_inc, 0.1234)
 
 
 def test_enumeration_counts_and_cap():
@@ -156,24 +127,6 @@ def test_knapsack_ratio_matches_the_cover_and_pack_references():
         for need, cap in zip(needs, caps):
             assert _knapsack_ratio(a, b, need) == reference_knapsack_ratio_cover(a, b, need)
             assert _knapsack_ratio(-b, -a, -cap) == reference_knapsack_ratio_pack(a, b, cap)
-
-
-@pytest.mark.parametrize("depth_l", [1, 2, 3])
-@pytest.mark.parametrize("zero_prior", [False, True], ids=["positive", "zero-weight"])
-def test_weighted_equality_search_matches_oracle(depth_l, zero_prior):
-    """The rate-pinned search against the exhaustive scan, at attained rates."""
-    rng = np.random.default_rng(30 + 2 * depth_l + zero_prior)
-    for _ in range(3 if depth_l == 3 else 6):
-        inc = iq.compute_increments(random_world(
-            rng, depth_l, uniform_prior=False, zero_prior=zero_prior))
-        # a lone candidate of positive rate is depth-uniform: the lattice answers
-        assert depth_l == 1 or _lattice_for(inc) is None
-        for p_expand in (0.0, 0.3, 0.5, 0.7, 0.9, 1.0):
-            rate = iq.tree_information(random_valid_selection(rng, depth_l, p_expand), inc)[0]
-            mine = iq.solve_equality_max_relevance(inc, rate)
-            oracle = iq.brute_force_solve(inc, "equality", rate)
-            assert mine.objective == pytest.approx(oracle.objective, abs=1e-9)
-            assert mine.selection == oracle.selection
 
 
 def test_solver_matches_oracle_on_random_worlds():
@@ -383,47 +336,6 @@ def test_seed_matches_the_cover_and_pack_references():
         for need, cap in zip(needs, caps):
             assert np.array_equal(_seed(a, b, need), reference_seed_cover(a, b, need))
             assert np.array_equal(_seed(-b, -a, -cap), reference_seed_pack(b, a, cap))
-
-
-@pytest.mark.parametrize("depth_l", [2, 3, 4])
-@pytest.mark.parametrize("zero_prior", [False, True], ids=["positive", "zero-weight"])
-def test_equality_search_matches_the_band_loop(depth_l, zero_prior):
-    """One search over d_star +- 1e-12 picks the tree of the loop that shrank
-    the band tenfold from 1e-9, at attained rates, with and without a seed."""
-    rng = np.random.default_rng(95 + 2 * depth_l + zero_prior)
-    for _ in range(3):
-        # i.i.d. relevance makes depth-4 equality searches run for minutes
-        world = (blob_world(rng, depth_l, zero_weight=zero_prior) if depth_l == 4 else
-                 random_world(rng, depth_l, uniform_prior=False, zero_prior=zero_prior))
-        inc = iq.compute_increments(world)
-        total = float(inc.delta_y.sum())
-        for frac in (0.2, 0.5, 0.8):
-            stage1 = iq.solve_min_rate(inc, frac * total)
-            seed = stage1.selection.z.astype(np.uint8)
-            reference = reference_equality_band_loop(inc, stage1.i_x, seed)
-            for seed_selection in (stage1.selection, None)[:1 if depth_l == 4 else 2]:
-                mine = iq.solve_equality_max_relevance(inc, stage1.i_x,
-                                                       seed_selection=seed_selection)
-                assert np.array_equal(mine.selection.z, reference)
-        # unseeded, a depth-4 equality search can exceed millions of nodes
-        for p_expand in (0.3, 0.6, 0.9)[:0 if depth_l == 4 else 3]:
-            rate = iq.tree_information(random_valid_selection(rng, depth_l, p_expand), inc)[0]
-            mine = iq.solve_equality_max_relevance(inc, rate)
-            assert np.array_equal(mine.selection.z, reference_equality_band_loop(inc, rate))
-
-
-def test_equality_seed_outside_the_band_is_refused():
-    """A seed within 1e-9 but not 1e-12 of d_star misses the searched band:
-    the solve raises, as it does without the seed."""
-    rng = np.random.default_rng(3)
-    world = iq.world_from_grid(rng.random((8, 8)), rng.uniform(0.2, 1.0, (8, 8)))
-    inc = iq.compute_increments(world)
-    seed = iq.solve_min_rate(inc, 0.5 * iq.mutual_info_xy(world)).selection
-    d_star = iq.tree_information(seed, inc)[0] + 5e-10
-    with pytest.raises(ValueError, match="attains"):
-        iq.solve_equality_max_relevance(inc, d_star)
-    with pytest.raises(ValueError, match="seed selection"):
-        iq.solve_equality_max_relevance(inc, d_star, seed_selection=seed)
 
 
 def test_search_skips_zero_mass_subtrees():
