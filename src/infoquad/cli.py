@@ -107,24 +107,26 @@ def cmd_infoplane(args) -> int:
     inc = compute_increments(world)
     info_xy = mutual_info_xy(world)
     grid = np.linspace(0.0, info_xy, args.sweep) if args.sweep > 1 else np.array([0.0])
+    # every floor is solved before the file is opened, so a search that stops
+    # at its node limit leaves no partial CSV behind
+    rows = [["method", "d_hat", "i_x", "i_y", "met_constraint", "ms"]]
+    for d_hat in grid:
+        t0 = time.perf_counter()
+        ilp = solve_min_rate(inc, float(d_hat), node_limit=args.node_limit)
+        ilp_ms = (time.perf_counter() - t0) * 1e3
+        rows.append([
+            "ilp", _fmt(float(d_hat)), _fmt(ilp.i_x), _fmt(ilp.i_y),
+            "true", _fmt(ilp_ms if args.timings else 0.0),
+        ])
+        t0 = time.perf_counter()
+        rounded, met = relax_and_round(inc, float(d_hat), args.delta)
+        lp_ms = (time.perf_counter() - t0) * 1e3
+        rows.append([
+            "relax-round", _fmt(float(d_hat)), _fmt(rounded.i_x), _fmt(rounded.i_y),
+            "true" if met else "false", _fmt(lp_ms if args.timings else 0.0),
+        ])
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "d_hat", "i_x", "i_y", "met_constraint", "ms"])
-        for d_hat in grid:
-            t0 = time.perf_counter()
-            ilp = solve_min_rate(inc, float(d_hat), node_limit=args.node_limit)
-            ilp_ms = (time.perf_counter() - t0) * 1e3
-            writer.writerow([
-                "ilp", _fmt(float(d_hat)), _fmt(ilp.i_x), _fmt(ilp.i_y),
-                "true", _fmt(ilp_ms if args.timings else 0.0),
-            ])
-            t0 = time.perf_counter()
-            rounded, met = relax_and_round(inc, float(d_hat), args.delta)
-            lp_ms = (time.perf_counter() - t0) * 1e3
-            writer.writerow([
-                "relax-round", _fmt(float(d_hat)), _fmt(rounded.i_x), _fmt(rounded.i_y),
-                "true" if met else "false", _fmt(lp_ms if args.timings else 0.0),
-            ])
+        csv.writer(fh).writerows(rows)
     print(f"wrote information-plane sweep of {grid.size} floors")
     return 0
 

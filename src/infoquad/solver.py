@@ -42,13 +42,17 @@ point: the frontier trace needs no second program.
 
 Uniform priors get a better algorithm entirely.  There every node at depth d
 costs exactly 4^(l-1-d) units of ln(4)/4^(l-1) nats, so the rate objective is
-integer-valued and one bottom-up max-plus convolution per world tabulates the
-maximal relevance at every attainable rate class.  Both programs then
-reduce to table lookups plus a deterministic reconstruction, with no search;
-rate classes are at least ln(4)/4^(l-1) nats apart (3.4e-4 at depth 7), so the
-1e-9 feasibility tolerance never straddles two classes.  The reconstruction
-splits each node's class with the smallest classes for the first children,
-which among tied trees need not give the lexicographically smallest one.
+integer-valued and bottom-up max-plus convolutions tabulate the maximal
+relevance at every attainable rate class.  Both programs then reduce to a
+query on the root's two half-merges plus a deterministic reconstruction, with
+no search: min-rate asks for the first class whose relevance meets the floor,
+max-relevance for the cheapest class within 1e-9 of the best one under the
+budget, and the tables it builds stop at the budget's class.  Only the Pareto
+trace reads the whole root table.  Rate classes are at least ln(4)/4^(l-1)
+nats apart (3.4e-4 at depth 7), so the 1e-9 feasibility tolerance never
+straddles two classes.  The reconstruction splits each node's class with the
+smallest classes for the first children, which among tied trees need not give
+the lexicographically smallest one.
 """
 
 from __future__ import annotations
@@ -415,15 +419,31 @@ def _solve_covering(c, g, need, node_limit, depth_l):
 
 _NEG = -1e300
 _BATCH_ELEMENTS = 1 << 20   # entries per split scan in a batched reconstruction
+_MERGE_ELEMENTS = 1 << 16   # sums per block of a max-plus merge
 
 
-def _maxplus(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Row-wise max-plus convolution: out[n, k] = max_i U[n, i] + V[n, k - i]."""
+def _maxplus(U: np.ndarray, V: np.ndarray, width: int | None = None) -> np.ndarray:
+    """Row-wise max-plus convolution out[n, k] = max_i U[n, i] + V[n, k - i],
+    for every k below width (default: every k).
+
+    The i are taken in blocks of B.  A block's (B, q) sums, padded with _NEG
+    to q + B columns and read back as B rows of q + B - 1, hold sum (i, j) in
+    column i - i0 + j, so one max over the rows merges the block.
+    """
     rows, p = U.shape
     q = V.shape[1]
-    out = np.full((rows, p + q - 1), _NEG)
-    for i in range(p):
-        np.maximum(out[:, i:i + q], U[:, i:i + 1] + V, out=out[:, i:i + q])
+    width = p + q - 1 if width is None else min(width, p + q - 1)
+    out = np.full((rows, width), _NEG)
+    block = max(1, _MERGE_ELEMENTS // (rows * q))
+    for i0 in range(0, min(p, width), block):
+        b = min(block, p - i0)
+        sums = np.empty((rows, b, q + b))
+        sums[:, :, q:] = _NEG
+        np.add(U[:, i0:i0 + b, None], V[:, None, :], out=sums[:, :, :q])
+        skew = sums.reshape(rows, -1)[:, :b * (q + b - 1)].reshape(rows, b, q + b - 1)
+        span = min(q + b - 1, width - i0)
+        np.maximum(out[:, i0:i0 + span], skew[:, :, :span].max(axis=1),
+                   out=out[:, i0:i0 + span])
     return out
 
 
@@ -432,42 +452,146 @@ class _LatticeDP:
 
     T[d][m, k] is the maximal relevance of an ancestor-closed selection of the
     subtree rooted at (d, m) whose integer rate cost is exactly k (cost unit:
-    the depth-(l-1) increment; a depth-d node costs 4^(l-1-d) units).  The
-    intermediate pairwise merges are kept so any table entry can be
-    deterministically traced back to a selection.
+    the depth-(l-1) increment; a depth-d node costs kd = 4^(l-1-d) units).
+    Past class 0, the node alone, it holds the node's relevance plus MALL[d],
+    the merge of its children's pair merges M12[d] and M34[d].  The merges
+    are kept so any table entry can be deterministically traced back to a
+    selection.
+
+    Tables are built on demand, up to the largest root class k_cap asked for
+    so far.  A node whose ancestors cost A units in all takes no class above
+    k_cap - A in a root class up to k_cap, so each level is clipped there,
+    and a level whose clip is below its node cost is the single class 0.
+    Every clipped entry is its full table's entry bit for bit: the maximum of
+    the same sums.
+
+    The root table T[0] and MALL[0] are built only when read; the Pareto
+    trace reads them.  One-shot solves query the root's half-merges instead.
+    With pm the prefix maxima of M34[0] and r the root's relevance, the root
+    reaches a value v by class k0 + i + j (k0 the root's cost) exactly when
+    r + (M12[0][i'] + M34[0][j']) >= v for some i' <= i, j' <= j, which is
+    r + (M12[0][i'] + pm[j]) >= v: the sums the root table holds, evaluated
+    as it evaluates them, and monotone in j.  So a cheapest class pairs a
+    rise of the prefix maxima of M12[0] with one of M34[0]; per rise of the
+    first, a searchsorted over the second's guesses its partner, and exact
+    steps on those float sums correct the guess.
     """
 
-    def __init__(self, inc: IncrementVectors, depth_l: int, unit: float):
+    def __init__(self, delta_y: np.ndarray, depth_l: int, unit: float):
         self.depth_l = depth_l
         self.unit = unit
-        b = inc.delta_y
-        self.T: list[np.ndarray] = [None] * depth_l
-        self.M12: list[np.ndarray] = [None] * depth_l
-        self.M34: list[np.ndarray] = [None] * depth_l
-        self.MALL: list[np.ndarray] = [None] * depth_l
-        for d in range(depth_l - 1, -1, -1):
-            bd = b[depth_offset(d):depth_offset(d + 1)]
-            kd = 4 ** (depth_l - 1 - d)
-            if d == depth_l - 1:
-                td = np.full((bd.size, 2), _NEG)
-                td[:, 0] = 0.0
-                td[:, 1] = bd
-            else:
-                child = self.T[d + 1].reshape(bd.size, 4, -1)
-                m12 = _maxplus(child[:, 0], child[:, 1])
-                m34 = _maxplus(child[:, 2], child[:, 3])
-                mall = _maxplus(m12, m34)
-                td = np.full((bd.size, kd + mall.shape[1]), _NEG)
-                td[:, 0] = 0.0
-                td[:, kd:] = bd[:, None] + mall
-                self.M12[d], self.M34[d], self.MALL[d] = m12, m34, mall
-            self.T[d] = td
-        self.root = self.T[0][0]
+        self.b = delta_y
+        self.root_cost = 4 ** (depth_l - 1)
+        self.full_widths = [(depth_l - d) * 4 ** (depth_l - 1 - d) + 1 for d in range(depth_l)]
+        self.top = self.full_widths[0] - 1     # the class of the whole tree
+        self.k_cap = -1                         # nothing tabulated yet
         # per row: its tree, and split scans of at most 4^d * width(M12[d])
         # entries at depth d
         per_row = max([num_candidates(depth_l)] + [
-            4 ** d * self.M12[d].shape[1] for d in range(depth_l - 1)])
+            4 ** d * (2 * self.full_widths[d + 1] - 1) for d in range(depth_l - 1)])
         self.batch_rows = max(1, _BATCH_ELEMENTS // per_row)
+
+    def tabulate(self, k_cap: int) -> None:
+        """Build the tables that root classes up to k_cap read, unless the
+        tables already reach that far.  Classes below the root's own cost
+        hold only the empty tree and read none."""
+        if k_cap <= self.k_cap or k_cap < self.root_cost:
+            return
+        depth_l = self.depth_l
+        self.k_cap = k_cap
+        self.T: list[np.ndarray] = [None] * depth_l
+        self.M12: list[np.ndarray] = [None] * depth_l
+        self.M34: list[np.ndarray] = [None] * depth_l
+        self._mall: list[np.ndarray] = [None] * depth_l
+        self.widths = []
+        ancestors = 0
+        for d in range(depth_l):
+            self.widths.append(min(self.full_widths[d], k_cap - ancestors + 1))
+            ancestors += 4 ** (depth_l - 1 - d)
+        for d in range(depth_l - 1, -1, -1):
+            n, kd, width = 4 ** d, 4 ** (depth_l - 1 - d), self.widths[d]
+            if width <= kd:
+                self.T[d] = np.zeros((n, 1))
+                continue
+            if d == depth_l - 1:    # a leaf's children take only class 0
+                self.M12[d] = self.M34[d] = np.zeros((n, 1))
+            else:
+                child = self.T[d + 1].reshape(n, 4, -1)
+                self.M12[d] = _maxplus(child[:, 0], child[:, 1], width - kd)
+                self.M34[d] = _maxplus(child[:, 2], child[:, 3], width - kd)
+            if d:
+                self._close(d)
+
+    def _close(self, d: int) -> None:
+        """MALL[d] and T[d] from the level's pair merges."""
+        n, kd = 4 ** d, 4 ** (self.depth_l - 1 - d)
+        mall = _maxplus(self.M12[d], self.M34[d], self.widths[d] - kd)
+        td = np.full((n, kd + mall.shape[1]), _NEG)
+        td[:, 0] = 0.0
+        td[:, kd:] = self.b[depth_offset(d):depth_offset(d + 1), None] + mall
+        self._mall[d], self.T[d] = mall, td
+
+    def _build_root(self) -> None:
+        """Tabulate every class, the root table and its merge included."""
+        self.tabulate(self.top)
+        if self.T[0] is None:
+            self._close(0)
+
+    @property
+    def MALL(self) -> list[np.ndarray]:
+        """The children merges of every level, the root's included."""
+        self._build_root()
+        return self._mall
+
+    @property
+    def root(self) -> np.ndarray:
+        """The full root table."""
+        self._build_root()
+        return self.T[0][0]
+
+    def _root_halves(self, k_cap: int):
+        """M12[0] and M34[0] of the root, tabulated up to k_cap."""
+        self.tabulate(k_cap)
+        return self.M12[0][0], self.M34[0][0]
+
+    def best_value(self, k_cap: int) -> float:
+        """The largest value of the root table in classes 0..k_cap."""
+        j_cap = k_cap - self.root_cost
+        if j_cap < 0:
+            return 0.0      # the root alone costs more: only the empty tree fits
+        m12, m34 = self._root_halves(k_cap)
+        pm = np.maximum.accumulate(m34)
+        i = np.arange(min(m12.size, j_cap + 1))
+        tail = self.b[0] + (m12[i] + pm[np.minimum(j_cap - i, pm.size - 1)]).max()
+        return max(0.0, float(tail))
+
+    def first_class(self, value: float, k_cap: int) -> int | None:
+        """The first class in 0..k_cap whose root table value reaches value,
+        None when none does."""
+        if 0.0 >= value:
+            return 0
+        j_cap = k_cap - self.root_cost
+        if j_cap < 0:
+            return None
+        m12, m34 = self._root_halves(k_cap)
+        # an entry of either half below an earlier one starts no cheapest pair
+        i, u = _rises(m12)
+        j, w = _rises(m34)
+        last = j.size - 1
+
+        def reaches(r):     # the root table's own float sums
+            return self.b[0] + (u + w[np.minimum(r, last)]) >= value
+
+        # a float guess of each i's first rise of M34, then exact steps to it
+        r = np.searchsorted(w, value - self.b[0] - u)
+        while np.any(step := (r <= last) & ~reaches(r)):
+            r += step
+        while np.any(step := (r > 0) & reaches(r - 1)):
+            r -= step
+        # an i whose first reaching partner lies past the cap has none below it
+        k = (i + j[np.minimum(r, last)])[r <= last]
+        k = k[k <= j_cap]
+        return self.root_cost + int(k.min()) if k.size else None
 
     def reconstruct(self, k_target: int) -> np.ndarray:
         """Selection vector achieving root table entry k_target, smallest
@@ -475,7 +599,8 @@ class _LatticeDP:
         return self.reconstruct_many([k_target])[0]
 
     def reconstruct_many(self, k_targets) -> np.ndarray:
-        """reconstruct(k) for each k, as the rows of one uint8 matrix.
+        """reconstruct(k) for each tabulated class k, as the rows of one uint8
+        matrix.
 
         Rows are traced level by level in batches of batch_rows, so the
         split scans never hold more than about _BATCH_ELEMENTS entries.
@@ -491,7 +616,8 @@ class _LatticeDP:
 
         Per level, the active (row, node, class) triples are deduplicated
         over (node, class), since rows often share subtrees, and each distinct
-        entry is split into its four children's classes at once.
+        entry is split into its four children's classes at once.  An entry
+        of an untabulated root merge is the largest sum of its split scan.
         """
         depth_l = self.depth_l
         row = np.flatnonzero(k_targets)
@@ -501,12 +627,13 @@ class _LatticeDP:
             z[row, depth_offset(d) + m] = 1
             if d == depth_l - 1 or not row.size:
                 break
-            width = self.T[d].shape[1]
+            width = self.widths[d]
             keys, inverse = np.unique(m * width + k, return_inverse=True)
             um, uk = np.divmod(keys, width)
             j_all = uk - 4 ** (depth_l - 1 - d)
-            m12, m34 = self.M12[d], self.M34[d]
-            j12 = _first_split(m12, um, m34, um, j_all, self.MALL[d][um, j_all])
+            m12, m34, mall = self.M12[d], self.M34[d], self._mall[d]
+            j12 = _first_split(m12, um, m34, um, j_all,
+                               None if mall is None else mall[um, j_all])
             j34 = j_all - j12
             child = self.T[d + 1]
             base = 4 * um
@@ -519,9 +646,16 @@ class _LatticeDP:
             k = kids[keep]
 
 
+def _rises(v: np.ndarray):
+    """The positions where the prefix maxima of v rise, and v there."""
+    at = np.flatnonzero(np.diff(np.maximum.accumulate(v), prepend=-np.inf))
+    return at, v[at]
+
+
 def _first_split(left, left_rows, right, right_rows, k, value) -> np.ndarray:
     """Per entry i, the smallest j with
-    left[left_rows[i], j] + right[right_rows[i], k[i] - j] == value[i].
+    left[left_rows[i], j] + right[right_rows[i], k[i] - j] == value[i];
+    value None stands for the largest of those sums, the merged entry.
 
     This is the addition _maxplus made, so the equality is exact.
     """
@@ -536,6 +670,8 @@ def _first_split(left, left_rows, right, right_rows, k, value) -> np.ndarray:
     right_pos -= step
     sums = left.take(left_pos)
     sums += right.take(right_pos)
+    if value is None:
+        value = np.maximum.reduceat(sums, start)
     hit = np.flatnonzero(sums == np.repeat(value, count))
     first = np.append(hit, step.size)[np.searchsorted(hit, start)]
     if np.any(first >= start + count):
@@ -543,14 +679,15 @@ def _first_split(left, left_rows, right, right_rows, k, value) -> np.ndarray:
     return first - start + lo
 
 
-# the rate-class tables (or None) of each increments object, held only while
-# that object lives
+# the rate-class lattice (or None) of each increments object, held only while
+# that object lives; it keeps the tables of the largest class cap asked for
 _LATTICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _lattice_for(inc: IncrementVectors) -> _LatticeDP | None:
-    """The rate-class tables when delta_x is depth-uniform with the exact
-    4-to-1 depth scaling, None otherwise; built once per increments object."""
+    """The rate-class lattice when delta_x is depth-uniform with the exact
+    4-to-1 depth scaling, None otherwise; one per increments object, which
+    tabulates as far as the solves on it ask."""
     if inc not in _LATTICES:
         a = inc.delta_x
         depth_l = depth_from_candidate_count(a.size)
@@ -561,7 +698,7 @@ def _lattice_for(inc: IncrementVectors) -> _LatticeDP | None:
             expected = unit * 4 ** (depth_l - 1 - d)
             if np.ptp(level) != 0.0 or abs(float(level[0]) - expected) > 1e-14 * expected:
                 uniform = False
-        _LATTICES[inc] = _LatticeDP(inc, depth_l, unit) if uniform else None
+        _LATTICES[inc] = _LatticeDP(inc.delta_y, depth_l, unit) if uniform else None
     return _LATTICES[inc]
 
 
@@ -606,10 +743,12 @@ def solve_min_rate(inc: IncrementVectors, d_hat: float,
         return _result_from_z(np.zeros(a.size, np.uint8), inc, "min-rate", 0, t0)
     lattice = _lattice_for(inc)
     if lattice is not None:
-        hits = np.flatnonzero(lattice.root >= need)
-        # summation-order dust can leave the full-coverage class an ulp short
-        # of a floor that sits right at the feasibility edge
-        k = int(hits[0]) if hits.size else int(np.argmax(lattice.root))
+        k = lattice.first_class(need, lattice.top)
+        if k is None:
+            # summation-order dust can leave the full-coverage class an ulp
+            # short of a floor that sits right at the feasibility edge: take
+            # the first class holding the root's maximum
+            k = lattice.first_class(lattice.best_value(lattice.top), lattice.top)
         return _result_from_z(lattice.reconstruct(k), inc, "min-rate", 0, t0)
     z, nodes = _solve_covering(a, b, need, node_limit, depth_l)
     return _result_from_z(z, inc, "min-rate", nodes, t0)
@@ -631,11 +770,11 @@ def solve_max_relevance(inc: IncrementVectors, budget_d: float,
     cap = budget_d + TOL
     lattice = _lattice_for(inc)
     if lattice is not None:
-        k_cap = min(int((cap / lattice.unit) + 1e-9), lattice.root.size - 1)
-        feasible = lattice.root[:k_cap + 1]
+        k_cap = min(int((cap / lattice.unit) + 1e-9), lattice.top)
         # the cheapest class within TOL of the best: a dearer class can win
-        # the argmax by summation-order dust alone
-        k = int(np.flatnonzero(feasible >= feasible.max() - TOL)[0])
+        # the argmax by summation-order dust alone.  Below the root's own
+        # cost only the empty tree fits, and nothing is tabulated.
+        k = lattice.first_class(lattice.best_value(k_cap) - TOL, k_cap)
         return _result_from_z(lattice.reconstruct(k), inc, "max-relevance", 0, t0)
     z, nodes = _solve_covering(-b, -a, -cap, node_limit, depth_l)
     return _result_from_z(z, inc, "max-relevance", nodes, t0)

@@ -127,6 +127,9 @@ def test_node_limit_exits_one_with_one_error_line(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: node-exploration limit of 50 reached")
+    # infoplane solves its first floor before the limit hits; no partial CSV
+    # may be left at --out
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 @pytest.mark.parametrize("limit", ["0", "-5"])

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import infoquad as iq
-from infoquad.solver import _knapsack_ratio, _ladder, _lattice_for, _parametric_dual, _seed
+from infoquad import solver
+from infoquad.solver import TOL, _knapsack_ratio, _ladder, _lattice_for, _parametric_dual, _seed
 from helpers import (blob_world, quadrant_world, random_world, reference_knapsack_ratio_cover,
                      reference_knapsack_ratio_pack, reference_pack_lp_objective,
-                     reference_seed_cover, reference_seed_pack)
+                     reference_reconstruct, reference_seed_cover, reference_seed_pack)
 
 LN2 = 0.6931471805599453
 QUAD_I_XY = 0.37677016125643675
@@ -165,18 +166,103 @@ def test_both_solver_paths_are_exercised():
 
 
 def test_lattice_cache_lives_beside_the_increments():
-    inc = iq.compute_increments(random_world(np.random.default_rng(27), 3))
-    total = float(inc.delta_y.sum())
-    iq.solve_min_rate(inc, 0.5 * total)
-    iq.solve_max_relevance(inc, 0.5 * float(inc.delta_x.sum()))
-    iq.trace_pareto(inc)
+    # one increments object serves a small budget, then a floor, then a
+    # larger budget, then the frontier: its lattice widens its tables on
+    # each request they cannot serve, and every answer is a fresh object's
+    world = random_world(np.random.default_rng(27), 3)
+    inc = iq.compute_increments(world)
+    total_x, total_y = float(inc.delta_x.sum()), float(inc.delta_y.sum())
+    calls = [
+        lambda inc: iq.solve_max_relevance(inc, 0.4 * total_x).selection.z,
+        lambda inc: iq.solve_min_rate(inc, 0.95 * total_y).selection.z,
+        lambda inc: iq.solve_max_relevance(inc, 0.8 * total_x).selection.z,
+        lambda inc: [p.selection.z for p in iq.trace_pareto(inc)],
+    ]
+    for call in calls:
+        assert np.array_equal(call(inc), call(iq.compute_increments(world)))
     assert set(vars(inc)) == {"delta_x", "delta_y"}
     lattice = _lattice_for(inc)
     assert lattice is not None and _lattice_for(inc) is lattice
+    assert lattice.k_cap == lattice.top
     ref = weakref.ref(lattice)
     del inc, lattice
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("merge_elements", [1, 50, 1 << 16])
+def test_blocked_maxplus_is_the_direct_merge(monkeypatch, merge_elements):
+    monkeypatch.setattr(solver, "_MERGE_ELEMENTS", merge_elements)
+    rng = np.random.default_rng(31)
+    for rows, p, q in ((1, 1, 1), (3, 7, 5), (2, 13, 13), (5, 1, 9)):
+        U, V = rng.random((rows, p)), rng.random((rows, q))
+        U[rng.random(U.shape) < 0.3] = solver._NEG
+        V[:, 1::3] = solver._NEG
+        direct = np.full((rows, p + q - 1), solver._NEG)
+        for i in range(p):
+            for j in range(q):
+                direct[:, i + j] = np.maximum(direct[:, i + j], U[:, i] + V[:, j])
+        assert np.array_equal(solver._maxplus(U, V), direct)
+        for width in (1, q, p + q - 2):
+            assert np.array_equal(solver._maxplus(U, V, width), direct[:, :width])
+
+
+def _quantized_world(rng, depth_l):
+    p1 = np.rint(4 * rng.random(4 ** depth_l)) / 4
+    return iq.world_from_cells(depth_l, np.column_stack([1.0 - p1, p1]))
+
+
+def test_lattice_one_shot_solves_match_the_full_root_table():
+    # every solve runs on fresh increments, so it tabulates only what its
+    # floor or budget needs; the reference reads the whole root table and
+    # reconstructs one node at a time
+    fallbacks = 0
+    for depth_l in (2, 3, 4, 5):
+        rng = np.random.default_rng(40 + depth_l)
+        for world in (random_world(rng, depth_l, binary=True), _quantized_world(rng, depth_l),
+                      random_world(rng, depth_l)):
+            inc = iq.compute_increments(world)
+            lattice = _lattice_for(inc)
+            root = lattice.root
+            total_x, total_y = float(inc.delta_x.sum()), float(inc.delta_y.sum())
+            # total_y + TOL is a floor at the feasibility edge
+            for d_hat in [f * total_y for f in (0.0, 0.05, 0.3, 0.6, 0.85, 0.99, 1.0)] + [
+                    total_y + TOL]:
+                hits = np.flatnonzero(root >= d_hat - TOL)
+                k = 0 if d_hat == 0 else int(hits[0]) if hits.size else int(np.argmax(root))
+                fallbacks += d_hat > 0 and not hits.size
+                mine = iq.solve_min_rate(iq.compute_increments(world), d_hat)
+                assert np.array_equal(mine.selection.z, reference_reconstruct(lattice, k))
+            root_nats = lattice.root_cost * lattice.unit
+            for budget in [0.0, 0.5 * root_nats, root_nats] + [
+                    f * total_x for f in (0.1, 0.25, 0.5, 0.9, 1.0, 2.0)]:
+                k_cap = min(int((budget + TOL) / lattice.unit + 1e-9), root.size - 1)
+                feasible = root[:k_cap + 1]
+                k = int(np.flatnonzero(feasible >= feasible.max() - TOL)[0])
+                fresh = iq.compute_increments(world)
+                mine = iq.solve_max_relevance(fresh, budget)
+                assert np.array_equal(mine.selection.z, reference_reconstruct(lattice, k))
+                if k_cap < lattice.root_cost:
+                    # only the empty tree fits, and no table is built
+                    assert k == 0 and _lattice_for(fresh).k_cap == -1
+    assert fallbacks  # some floor met no class and took the root's argmax
+
+
+@pytest.mark.parametrize("depth_l", [1, 2, 3, 4])
+def test_lattice_root_queries_read_the_root_table(depth_l):
+    rng = np.random.default_rng(60 + depth_l)
+    lattice = _lattice_for(iq.compute_increments(random_world(rng, depth_l)))
+    root = lattice.root
+    values = np.unique(root)
+    values = np.concatenate([values, np.nextafter(values, np.inf), [-TOL, 0.0]])
+    for k_cap in range(0, root.size, max(1, root.size // 24)):
+        feasible = root[:k_cap + 1]
+        assert lattice.best_value(k_cap) == feasible.max()
+        for value in values:
+            hits = np.flatnonzero(feasible >= value)
+            assert lattice.first_class(value, k_cap) == (int(hits[0]) if hits.size else None)
+    assert lattice.first_class(np.nextafter(root.max(), np.inf), lattice.top) is None
+    assert lattice.first_class(lattice.best_value(lattice.top), lattice.top) == np.argmax(root)
 
 
 def test_lattice_max_relevance_takes_the_cheapest_tied_class():
