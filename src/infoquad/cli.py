@@ -4,7 +4,9 @@ Commands: abstract, pareto, infoplane, relax, validate, increments.  All
 output is deterministic byte for byte: CSV floats use 12 significant digits
 and timing columns stay zero unless --timings is passed.  Exit codes: 0 ok,
 1 infeasible, inconsistent, or an exact search that hit its --node-limit,
-2 I/O or format error (argparse also exits 2 on a bad option).
+2 I/O or format error, a negative or NaN floor, budget or step, or a
+non-finite prior weight (argparse also exits 2 on a bad option).  A budget of
+inf sets no rate limit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import time
 
 import numpy as np
 
-from .increments import compute_increments, tree_information, write_increments_csv
+from .increments import FLOAT_FMT, compute_increments, tree_information, write_increments_csv
 from .pareto import DEFAULT_EPS_STEP, trace_pareto, write_pareto_csv
 from .quadtree import MalformedTreeDocument, _coordinates, read_tree_json, write_tree_json
 from .relaxation import relax_and_round, round_selection, solve_lp_relaxation
@@ -33,7 +35,6 @@ from .world import load_pgm, load_prior, mutual_info_xy, render_abstraction
 
 __all__ = ["main", "build_parser"]
 
-FLOAT_FMT = ".12g"
 INFEASIBLE_MESSAGE = "D̂ exceeds I(X;Y)"
 
 
@@ -42,8 +43,8 @@ def _fmt(value: float) -> str:
 
 
 def _load_world(args):
-    world = load_pgm(args.input, invert=not getattr(args, "no_invert", False))
-    if getattr(args, "prior", None):
+    world = load_pgm(args.input, invert=not args.no_invert)
+    if args.prior:
         world = load_prior(args.prior, world)
     return world
 
@@ -58,27 +59,18 @@ def cmd_abstract(args) -> int:
     world = _load_world(args)
     inc = compute_increments(world)
     info_xy = mutual_info_xy(world)
-    if args.mode == "min-rate":
-        if args.dhat is not None:
-            bound = args.dhat
-        elif args.dhat_frac is not None:
-            bound = args.dhat_frac * info_xy
-        else:
-            print("error: min-rate mode needs --dhat or --dhat-frac", file=sys.stderr)
-            return 2
-        result = solve_min_rate(inc, bound, node_limit=args.node_limit)
-        if result.status == "infeasible":
-            print(INFEASIBLE_MESSAGE, file=sys.stderr)
-            return 1
-    else:
-        if args.budget is not None:
-            bound = args.budget
-        elif args.budget_frac is not None:
-            bound = args.budget_frac * info_xy
-        else:
-            print("error: max-relevance mode needs --budget or --budget-frac", file=sys.stderr)
-            return 2
-        result = solve_max_relevance(inc, bound, node_limit=args.node_limit)
+    # a bound in nats or as a fraction of I(X;Y); only min-rate can be infeasible
+    name, solve = (("dhat", solve_min_rate) if args.mode == "min-rate"
+                   else ("budget", solve_max_relevance))
+    bound, frac = getattr(args, name), getattr(args, f"{name}_frac")
+    if bound is None and frac is None:
+        print(f"error: {args.mode} mode needs --{name} or --{name}-frac", file=sys.stderr)
+        return 2
+    bound = frac * info_xy if bound is None else bound
+    result = solve(inc, bound, node_limit=args.node_limit)
+    if result.status == "infeasible":
+        print(INFEASIBLE_MESSAGE, file=sys.stderr)
+        return 1
     selection = result.selection
     if args.out:
         write_tree_json(args.out, selection, result.i_x, result.i_y)
@@ -184,21 +176,18 @@ def cmd_validate(args) -> int:
 
 def cmd_increments(args) -> int:
     world = _load_world(args)
-    write_increments_csv(args.out, world, float_fmt=FLOAT_FMT)
+    write_increments_csv(args.out, world)
     print(f"wrote {args.out}")
     return 0
 
 
-def _add_input(parser, with_prior=True):
+def _add_input(parser):
     parser.add_argument("--input", required=True, help="square power-of-two PGM map")
     parser.add_argument(
         "--no-invert", action="store_true",
         help="map p(y=1|x) = gray/maxval instead of 1 - gray/maxval",
     )
-    if with_prior:
-        parser.add_argument(
-            "--prior", help="plain-text cell weights, one per line, row-major"
-        )
+    parser.add_argument("--prior", help="plain-text cell weights, one per line, row-major")
 
 
 def _positive_int(text: str) -> int:
@@ -250,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infoplane", help="sweep relevance floors, exact vs relax-and-round")
     _add_input(p)
-    p.add_argument("--sweep", type=int, required=True, help="number of floors in [0, I(X;Y)]")
+    p.add_argument("--sweep", type=_positive_int, required=True,
+                   help="number of floors in [0, I(X;Y)]")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--delta", type=float, default=0.5, help="rounding threshold")
     p.add_argument("--timings", action="store_true",

@@ -30,9 +30,11 @@ __all__ = [
     "increment_rows",
     "write_increments_csv",
     "MASS_TOL",
+    "FLOAT_FMT",
 ]
 
 MASS_TOL = 1e-9
+FLOAT_FMT = ".12g"  # every CSV float: 12 significant digits, byte-deterministic
 
 
 @dataclass(frozen=True)
@@ -203,12 +205,12 @@ def increment_rows(world: WorldMap):
     return rows
 
 
-def write_increments_csv(path, world: WorldMap, float_fmt: str = ".12g"):
+def write_increments_csv(path, world: WorldMap):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["depth", "morton", "mass", "delta_x_nats", "delta_y_nats", "free"])
         for d, m, mass, dx, dy, free in increment_rows(world):
             writer.writerow(
-                [d, m, format(mass, float_fmt), format(dx, float_fmt),
-                 format(dy, float_fmt), "true" if free else "false"]
+                [d, m, format(mass, FLOAT_FMT), format(dx, FLOAT_FMT),
+                 format(dy, FLOAT_FMT), "true" if free else "false"]
             )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .increments import IncrementVectors, tree_information
+from .increments import FLOAT_FMT, IncrementVectors, tree_information
 from .quadtree import TreeSelection
 from .solver import (
     DEFAULT_NODE_LIMIT,
@@ -83,7 +83,7 @@ def pareto_point(inc: IncrementVectors, d_hat: float,
     d_hat_star >= d_hat - 1e-9.
     """
     total = float(inc.delta_y.sum())
-    if d_hat < 0:
+    if not d_hat >= 0:
         raise ValueError(f"negative d_hat: {d_hat}")
     if d_hat > total + TOL:
         raise ValueError(
@@ -113,7 +113,7 @@ def trace_pareto(inc: IncrementVectors, eps_step: float = DEFAULT_EPS_STEP,
     information sums, and stage2_ms the batched reconstruction its lookup
     started (0 when an earlier batch already held its tree).
     """
-    if eps_step <= TOL:
+    if not eps_step > TOL:
         raise ValueError(
             f"eps_step must exceed the feasibility tolerance {TOL}, got {eps_step}"
         )
@@ -173,7 +173,7 @@ def _lattice_points(inc: IncrementVectors, lattice: _LatticeDP):
     return point_at
 
 
-def write_pareto_csv(path, points, include_timings: bool = False, float_fmt: str = ".12g"):
+def write_pareto_csv(path, points, include_timings: bool = False):
     """One row per traced point; timing columns are zeroed unless requested.
 
     Timings vary run to run, so deterministic output (the default) writes 0.
@@ -185,10 +185,10 @@ def write_pareto_csv(path, points, include_timings: bool = False, float_fmt: str
         )
         for p in points:
             writer.writerow([
-                format(p.d_hat_query, float_fmt),
-                format(p.d_star, float_fmt),
-                format(p.d_hat_star, float_fmt),
+                format(p.d_hat_query, FLOAT_FMT),
+                format(p.d_star, FLOAT_FMT),
+                format(p.d_hat_star, FLOAT_FMT),
                 p.selection.leaf_count,
-                format(p.stage1_ms if include_timings else 0.0, float_fmt),
-                format(p.stage2_ms if include_timings else 0.0, float_fmt),
+                format(p.stage1_ms if include_timings else 0.0, FLOAT_FMT),
+                format(p.stage2_ms if include_timings else 0.0, FLOAT_FMT),
             ])

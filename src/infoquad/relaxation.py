@@ -60,7 +60,7 @@ class FractionalSelection:
 
 def solve_lp_relaxation(inc: IncrementVectors, d_hat: float) -> tuple[FractionalSelection, float]:
     """Optimal point of the relaxed min-rate program and its objective value."""
-    if d_hat < 0:
+    if not d_hat >= 0:
         raise ValueError(f"negative d_hat: {d_hat}")
     total = float(inc.delta_y.sum())
     if d_hat > total + TOL:

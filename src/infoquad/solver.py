@@ -730,7 +730,7 @@ def solve_min_rate(inc: IncrementVectors, d_hat: float,
     relevance; otherwise the objective is exact up to the feasibility
     tolerance.
     """
-    if d_hat < 0:
+    if not d_hat >= 0:
         raise ValueError(f"negative d_hat: {d_hat}")
     t0 = time.perf_counter()
     a, b = inc.delta_x, inc.delta_y
@@ -760,7 +760,7 @@ def solve_max_relevance(inc: IncrementVectors, budget_d: float,
 
     Always feasible: the root tree costs nothing.
     """
-    if budget_d < 0:
+    if not budget_d >= 0:
         raise ValueError(f"negative budget: {budget_d}")
     t0 = time.perf_counter()
     a, b = inc.delta_x, inc.delta_y
@@ -770,7 +770,8 @@ def solve_max_relevance(inc: IncrementVectors, budget_d: float,
     cap = budget_d + TOL
     lattice = _lattice_for(inc)
     if lattice is not None:
-        k_cap = min(int((cap / lattice.unit) + 1e-9), lattice.top)
+        # min before int, so that an infinite budget takes the top class
+        k_cap = int(min(cap / lattice.unit + 1e-9, lattice.top))
         # the cheapest class within TOL of the best: a dearer class can win
         # the argmax by summation-order dust alone.  Below the root's own
         # cost only the empty tree fits, and nothing is tabulated.
@@ -847,7 +848,7 @@ def brute_force_solve(inc: IncrementVectors, problem: str, bound: float) -> Solv
     ix = Z @ inc.delta_x
     iy = Z @ inc.delta_y
     if problem == "min-rate":
-        if bound < 0:
+        if not bound >= 0:
             raise ValueError(f"negative d_hat: {bound}")
         feasible = iy >= bound - TOL
         if not feasible.any():
@@ -858,7 +859,7 @@ def brute_force_solve(inc: IncrementVectors, problem: str, bound: float) -> Solv
         best_iy = iy[candidates].max()
         candidates = candidates[iy[candidates] >= best_iy - TOL]
     elif problem == "max-relevance":
-        if bound < 0:
+        if not bound >= 0:
             raise ValueError(f"negative budget: {bound}")
         feasible = ix <= bound + TOL
         candidates = np.flatnonzero(feasible)

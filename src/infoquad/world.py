@@ -3,7 +3,10 @@
 A WorldMap couples a 2^l x 2^l grid of finest cells with a per-cell relevance
 distribution p(y|x) and a cell prior p(x).  Cells are indexed by their Morton
 index at depth l; file interfaces (PGM rasters, prior weight lists) are
-row-major and converted on the way in and out.
+row-major and converted on the way in and out.  Every binary-relevance world
+built from a grid, a PGM raster included, goes through world_from_grid, and
+every non-uniform prior through prior_from_weights; WorldMap rejects
+non-finite, negative and unnormalized entries.
 
 Intensity convention: with invert on (the default) darker pixels carry more
 relevance mass, p(y=1|x) = 1 - gray/maxval.  All information quantities are in
@@ -34,6 +37,9 @@ __all__ = [
 
 NORMALIZATION_TOL = 1e-12
 MAX_PGM_MAXVAL = 65535
+# a PGM comment runs to the end of its line and also ends a token
+_COMMENT = rb"#[^\n]*"
+_HEADER_TOKEN = re.compile(_COMMENT + rb"|([^\s#]+)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,12 +72,13 @@ class WorldMap:
             )
         if pri.shape != (cells,):
             raise ValueError(f"cell_prior shape {pri.shape} does not match ({cells},)")
-        if np.any(rel < 0):
-            raise ValueError("cell_relevance has negative entries")
+        # written so that NaN fails; an infinite entry fails its sum
+        if not np.all(rel >= 0):
+            raise ValueError("cell_relevance has negative or NaN entries")
         if np.any(np.abs(rel.sum(axis=1) - 1.0) > NORMALIZATION_TOL):
             raise ValueError("cell_relevance rows must sum to 1 within 1e-12")
-        if np.any(pri < 0):
-            raise ValueError("cell_prior has negative entries")
+        if not np.all(pri >= 0):
+            raise ValueError("cell_prior has negative or NaN entries")
         if abs(pri.sum() - 1.0) > NORMALIZATION_TOL:
             raise ValueError("cell_prior must sum to 1 within 1e-12")
         rel.setflags(write=False)
@@ -92,36 +99,20 @@ def _read_pgm(path) -> tuple[np.ndarray, int]:
     """Parse a P2/P5 PGM into a (height, width) int array plus its maxval."""
     with open(path, "rb") as fh:
         data = fh.read()
-
-    pos = 0
-
-    def next_token():
-        nonlocal pos
-        while pos < len(data):
-            ch = data[pos:pos + 1]
-            if ch == b"#":
-                eol = data.find(b"\n", pos)
-                pos = len(data) if eol < 0 else eol + 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace() and data[pos:pos + 1] != b"#":
-            pos += 1
-        if start == pos:
+    fields = []
+    tokens = (m for m in _HEADER_TOKEN.finditer(data) if m[1])
+    for _ in range(4):
+        match = next(tokens, None)
+        if match is None:
             raise ValueError("malformed PGM header: unexpected end of file")
-        return data[start:pos]
-
-    magic = next_token()
-    if magic not in (b"P2", b"P5"):
-        raise ValueError("malformed PGM header: expected P2 or P5 magic")
-    try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
-    except ValueError as exc:
-        raise ValueError(f"malformed PGM header: {exc}") from None
+        token, pos = match[1], match.end()
+        if not fields and token not in (b"P2", b"P5"):
+            raise ValueError("malformed PGM header: expected P2 or P5 magic")
+        try:
+            fields.append(int(token) if fields else token)
+        except ValueError as exc:
+            raise ValueError(f"malformed PGM header: {exc}") from None
+    magic, width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise ValueError("malformed PGM header: non-positive dimensions")
     if not 1 <= maxval <= MAX_PGM_MAXVAL:
@@ -137,8 +128,7 @@ def _read_pgm(path) -> tuple[np.ndarray, int]:
             raise ValueError("truncated PGM raster")
         pixels = np.frombuffer(raster, dtype=dtype, count=count).astype(np.int64)
     else:
-        # a comment runs to the end of its line and also ends a token
-        tokens = re.sub(rb"#[^\n]*", b" ", data[pos:]).split()
+        tokens = re.sub(_COMMENT, b" ", data[pos:]).split()
         if len(tokens) < count:
             raise ValueError("truncated PGM raster")
         try:
@@ -181,15 +171,8 @@ def load_pgm(path, invert: bool = True) -> WorldMap:
     height, width = pixels.shape
     if width != height:
         raise ValueError(f"non-square image: {width}x{height}")
-    if width & (width - 1):
-        raise ValueError(f"side not a power of two: {width}")
-    depth_l = width.bit_length() - 1
-    level = pixels.ravel() / maxval
-    p1 = (1.0 - level) if invert else level
-    cells = p1[morton_permutation(depth_l)]
-    relevance = np.column_stack([1.0 - cells, cells])
-    prior = np.full(cells.size, 1.0 / cells.size)
-    return WorldMap(depth_l, 2, relevance, prior, maxval=maxval)
+    level = pixels / maxval
+    return world_from_grid(1.0 - level if invert else level, maxval=maxval)
 
 
 def prior_from_weights(weights, world: WorldMap) -> WorldMap:
@@ -199,6 +182,8 @@ def prior_from_weights(weights, world: WorldMap) -> WorldMap:
         raise ValueError(
             f"weight count mismatch: got {weights.size}, expected {world.num_cells}"
         )
+    if not np.isfinite(weights).all():
+        raise ValueError("non-finite weight")
     if np.any(weights < 0):
         raise ValueError("negative weight")
     total = weights.sum()
@@ -252,7 +237,11 @@ def world_from_cells(depth_l, cell_relevance, cell_prior=None, maxval=255) -> Wo
 
 
 def world_from_grid(p1_grid, prior_grid=None, maxval=255) -> WorldMap:
-    """Binary-relevance world from a row-major 2^l x 2^l grid of p(y=1|x) values."""
+    """Binary-relevance world from a row-major 2^l x 2^l grid of p(y=1|x) values.
+
+    The prior is uniform unless prior_grid holds row-major cell weights, which
+    are checked and normalized as load_prior's are.
+    """
     grid = np.asarray(p1_grid, dtype=np.float64)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise ValueError(f"grid must be square, got shape {grid.shape}")
@@ -260,15 +249,9 @@ def world_from_grid(p1_grid, prior_grid=None, maxval=255) -> WorldMap:
     if side & (side - 1):
         raise ValueError(f"side not a power of two: {side}")
     depth_l = side.bit_length() - 1
-    perm = morton_permutation(depth_l)
-    cells = grid.ravel()[perm]
-    relevance = np.column_stack([1.0 - cells, cells])
-    if prior_grid is None:
-        prior = np.full(cells.size, 1.0 / cells.size)
-    else:
-        weights = np.asarray(prior_grid, dtype=np.float64).ravel()
-        prior = (weights / weights.sum())[perm]
-    return WorldMap(depth_l, 2, relevance, prior, maxval=maxval)
+    cells = grid.ravel()[morton_permutation(depth_l)]
+    world = world_from_cells(depth_l, np.column_stack([1.0 - cells, cells]), maxval=maxval)
+    return world if prior_grid is None else prior_from_weights(np.ravel(prior_grid), world)
 
 
 def render_abstraction(path, world: WorldMap, selection: TreeSelection, maxval=None):

@@ -425,3 +425,74 @@ def test_cli_outputs_deterministic(quad_pgm, tmp_path, capsys):
     second_files, second_stdout = run_all("b")
     assert first_files == second_files
     assert first_stdout == second_stdout
+
+
+@pytest.fixture()
+def iid8(tmp_path):
+    """8x8 i.i.d. gray map plus a log-normal prior file for it."""
+    rng = np.random.default_rng(8)
+    pgm, prior = tmp_path / "iid8.pgm", tmp_path / "iid8.prior"
+    write_text(pgm, "P2\n8 8\n255\n" + "\n".join(
+        " ".join(map(str, row)) for row in rng.integers(0, 256, (8, 8))) + "\n")
+    write_text(prior, "\n".join(map(repr, np.exp(rng.normal(0, 0.5, 64)).tolist())) + "\n")
+    return pgm, prior
+
+
+@pytest.mark.parametrize("command", [
+    ["abstract", "--mode", "max-relevance", "--budget", "nan"],
+    ["abstract", "--mode", "max-relevance", "--budget-frac", "nan"],
+    ["abstract", "--mode", "min-rate", "--dhat", "nan"],
+    ["abstract", "--mode", "min-rate", "--dhat-frac", "nan"],
+    ["relax", "--dhat", "nan"],
+    ["pareto", "--eps-step", "nan", "--out", "pareto.csv"],
+    ["infoplane", "--sweep", "-3", "--out", "plane.csv"],
+    ["infoplane", "--sweep", "0", "--out", "plane.csv"],
+], ids=["budget", "budget-frac", "dhat", "dhat-frac", "relax", "eps-step", "sweep", "sweep0"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "prior"])
+def test_nan_bounds_and_bad_steps_exit_two_with_one_error_line(iid8, tmp_path, capsys,
+                                                               command, weighted):
+    pgm, prior = iid8
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in command]
+    argv += ["--input", str(pgm)] + (["--prior", str(prior)] if weighted else [])
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects --sweep itself
+        code = exc.code
+    assert code == 2
+    err = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(err) == 1
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "prior"])
+def test_infinite_budget_sets_no_rate_limit(iid8, tmp_path, capsys, weighted):
+    pgm, prior = iid8
+    base = ["abstract", "--input", str(pgm), "--mode", "max-relevance"]
+    base += ["--prior", str(prior)] if weighted else []
+    docs = []
+    for budget in ("inf", "1e9"):
+        out = tmp_path / f"{budget}.json"
+        assert main([*base, "--budget", budget, "--out", str(out)]) == 0
+        docs.append((capsys.readouterr().out, json.loads(out.read_text())))
+    assert docs[0] == docs[1]
+    world = iq.load_pgm(pgm)
+    world = iq.load_prior(prior, world) if weighted else world
+    full = float(iq.compute_increments(world).delta_y.sum())
+    assert docs[0][1]["i_y_nats"] == pytest.approx(full, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [
+    ["abstract", "--mode", "min-rate", "--dhat-frac", "0.5"],
+    ["pareto", "--out", "pareto.csv"],
+], ids=["abstract", "pareto"])
+def test_non_finite_prior_weight_exits_two(iid8, tmp_path, capsys, command, bad):
+    pgm, prior = iid8
+    lines = prior.read_text().splitlines()
+    lines[5] = bad
+    write_text(prior, "\n".join(lines) + "\n")
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in command]
+    assert main([*argv, "--input", str(pgm), "--prior", str(prior)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: non-finite weight"]
+    assert list(tmp_path.glob("*.csv")) == []

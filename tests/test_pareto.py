@@ -145,8 +145,9 @@ def test_trace_structure_properties():
 
 def test_trace_rejects_bad_step():
     inc = iq.compute_increments(quadrant_world())
-    with pytest.raises(ValueError, match="eps_step"):
-        iq.trace_pareto(inc, eps_step=0.0)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="eps_step"):
+            iq.trace_pareto(inc, eps_step=bad)
 
 
 def test_min_rate_solutions_weakly_dominated_by_trace():

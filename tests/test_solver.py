@@ -44,8 +44,11 @@ def test_min_rate_infeasible_above_total(quad_inc):
 
 
 def test_min_rate_rejects_negative(quad_inc):
-    with pytest.raises(ValueError, match="negative"):
-        iq.solve_min_rate(quad_inc, -0.5)
+    for bad in (-0.5, float("nan")):
+        for solve in (iq.solve_min_rate, iq.pareto_point, iq.solve_lp_relaxation,
+                      lambda inc, d: iq.brute_force_solve(inc, "min-rate", d)):
+            with pytest.raises(ValueError, match="negative"):
+                solve(quad_inc, bad)
 
 
 def test_max_relevance_zero_budget(quad_inc):
@@ -72,8 +75,11 @@ def test_max_relevance_tight_budget(quad_inc):
 
 
 def test_max_relevance_rejects_negative(quad_inc):
-    with pytest.raises(ValueError, match="negative"):
-        iq.solve_max_relevance(quad_inc, -1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="negative"):
+            iq.solve_max_relevance(quad_inc, bad)
+        with pytest.raises(ValueError, match="negative"):
+            iq.brute_force_solve(quad_inc, "max-relevance", bad)
 
 
 def test_weighted_rate_tie_prefers_the_more_relevant_tree():

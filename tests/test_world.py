@@ -63,6 +63,29 @@ def test_load_pgm_rejects_bad_header(tmp_path):
         iq.load_pgm(path)
 
 
+@pytest.mark.parametrize("header", ["", "# only a comment\n", "P2", "P2 4", "P2\n4 4 # no maxval\n"])
+def test_load_pgm_end_of_file_in_header_reports_once(tmp_path, header):
+    path = tmp_path / "cut.pgm"
+    write_text(path, header)
+    with pytest.raises(ValueError) as exc:
+        iq.load_pgm(path)
+    assert str(exc.value) == "malformed PGM header: unexpected end of file"
+
+
+@pytest.mark.parametrize("invert", [True, False])
+@pytest.mark.parametrize("maxval", [7, 255, 65535])
+def test_load_pgm_matches_world_from_grid(tmp_path, invert, maxval):
+    grays = np.random.default_rng(maxval).integers(0, maxval + 1, size=(8, 8))
+    path = tmp_path / "map.pgm"
+    write_text(path, f"P2\n8 8\n{maxval}\n" + "\n".join(" ".join(map(str, r)) for r in grays))
+    level = grays / maxval
+    expected = iq.world_from_grid(1.0 - level if invert else level, maxval=maxval)
+    world = iq.load_pgm(path, invert=invert)
+    assert np.array_equal(world.cell_relevance, expected.cell_relevance)
+    assert np.array_equal(world.cell_prior, expected.cell_prior)
+    assert world.maxval == expected.maxval == maxval
+
+
 def test_load_pgm_rejects_truncated_raster(tmp_path):
     path = tmp_path / "short.pgm"
     write_text(path, "P2\n2 2\n255\n0 0 0\n")
@@ -177,6 +200,21 @@ def test_load_prior_errors(tmp_path):
     write_text(path, "1\n-1\n1\n1\n")
     with pytest.raises(ValueError, match="negative weight"):
         iq.load_prior(path, world)
+    for bad in ("nan", "inf", "-inf"):
+        write_text(path, f"1\n{bad}\n1\n1\n")
+        with pytest.raises(ValueError, match="non-finite weight"):
+            iq.load_prior(path, world)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([[1, -1], [1, 1]], "negative weight"),
+    ([[0, 0], [0, 0]], "all-zero"),
+    ([[1, 1, 1], [1, 1, 1]], "count mismatch"),
+    ([[1, np.nan], [1, 1]], "non-finite weight"),
+])
+def test_world_from_grid_checks_prior_weights(weights, message):
+    with pytest.raises(ValueError, match=message):
+        iq.world_from_grid([[1, 0], [0, 1]], prior_grid=weights)
 
 
 def test_mutual_info_identical_cells_is_zero():
@@ -227,6 +265,11 @@ def test_worldmap_validation():
         iq.WorldMap(1, 2, np.tile([1.5, -0.5], (4, 1)), np.full(4, 0.25))
     with pytest.raises(ValueError, match="shape"):
         iq.WorldMap(1, 2, np.tile([0.5, 0.5], (5, 1)), np.full(4, 0.25))
+    for bad, message in ((np.nan, "NaN"), (np.inf, "sum to 1"), (-np.inf, "negative")):
+        with pytest.raises(ValueError, match=message):
+            iq.WorldMap(1, 2, np.tile([0.5, bad], (4, 1)), np.full(4, 0.25))
+        with pytest.raises(ValueError, match=message):
+            iq.WorldMap(1, 2, np.tile([0.5, 0.5], (4, 1)), np.array([bad, 0.25, 0.25, 0.25]))
     with pytest.raises(ValueError):
         iq.WorldMap(1, 1, np.ones((4, 1)), np.full(4, 0.25))
 
