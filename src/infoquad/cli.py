@@ -66,7 +66,10 @@ def cmd_abstract(args) -> int:
     if bound is None and frac is None:
         print(f"error: {args.mode} mode needs --{name} or --{name}-frac", file=sys.stderr)
         return 2
-    bound = frac * info_xy if bound is None else bound
+    if bound is None:
+        # only a finite fraction >= 0 scales I(X;Y): an infinite one is no
+        # limit and a negative or NaN one an error, even where I(X;Y) = 0
+        bound = frac * info_xy if 0 <= frac < math.inf else frac
     result = solve(inc, bound, node_limit=args.node_limit)
     if result.status == "infeasible":
         print(INFEASIBLE_MESSAGE, file=sys.stderr)

@@ -153,6 +153,7 @@ def compute_increments(world: WorldMap) -> IncrementVectors:
     n = num_candidates(world.depth_l)
     delta_x = np.zeros(n)
     delta_y = np.zeros(n)
+    g = [_weighted_entropy(joint, mass) for joint, mass in zip(stats.joints, stats.masses)]
     for d in range(world.depth_l):
         parent_mass = stats.masses[d]
         child_mass = stats.masses[d + 1].reshape(-1, 4)
@@ -160,11 +161,7 @@ def compute_increments(world: WorldMap) -> IncrementVectors:
         pos = child_mass > 0
         ratio = np.where(pos, child_mass, 1.0) / np.where(parent_mass > 0, parent_mass, 1.0)[:, None]
         dx = -np.where(pos, child_mass * np.log(ratio), 0.0).sum(axis=1)
-        g_parent = _weighted_entropy(stats.joints[d], parent_mass)
-        g_child = _weighted_entropy(
-            stats.joints[d + 1], stats.masses[d + 1]
-        ).reshape(-1, 4).sum(axis=1)
-        dy = g_parent - g_child
+        dy = g[d] - g[d + 1].reshape(-1, 4).sum(axis=1)
         lo, hi = depth_offset(d), depth_offset(d + 1)
         dx = np.maximum(dx, 0.0)
         # JS <= H(Pi) exactly; keep the float results on the right side of it

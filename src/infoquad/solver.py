@@ -42,17 +42,18 @@ point: the frontier trace needs no second program.
 
 Uniform priors get a better algorithm entirely.  There every node at depth d
 costs exactly 4^(l-1-d) units of ln(4)/4^(l-1) nats, so the rate objective is
-integer-valued and bottom-up max-plus convolutions tabulate the maximal
-relevance at every attainable rate class.  Both programs then reduce to a
-query on the root's two half-merges plus a deterministic reconstruction, with
+integer-valued and max-plus merges tabulate the maximal relevance at every
+attainable rate class.  The tables form binary half-levels: a node's children
+merge in pairs, and the two pairs merge into the node.  Both programs then
+reduce to a query on the root's two pair merges plus a reconstruction, with
 no search: min-rate asks for the first class whose relevance meets the floor,
 max-relevance for the cheapest class within 1e-9 of the best one under the
 budget, and the tables it builds stop at the budget's class.  Only the Pareto
 trace reads the whole root table.  Rate classes are at least ln(4)/4^(l-1)
 nats apart (3.4e-4 at depth 7), so the 1e-9 feasibility tolerance never
-straddles two classes.  The reconstruction splits each node's class with the
-smallest classes for the first children, which among tied trees need not give
-the lexicographically smallest one.
+straddles two classes.  The reconstruction splits each merged class at the
+smallest index where its two halves sum largest, the sum the merge stored;
+among tied trees that need not give the lexicographically smallest one.
 """
 
 from __future__ import annotations
@@ -450,13 +451,17 @@ def _maxplus(U: np.ndarray, V: np.ndarray, width: int | None = None) -> np.ndarr
 class _LatticeDP:
     """Exact-rate-class relevance tables for worlds with depth-uniform rate costs.
 
-    T[d][m, k] is the maximal relevance of an ancestor-closed selection of the
-    subtree rooted at (d, m) whose integer rate cost is exactly k (cost unit:
-    the depth-(l-1) increment; a depth-d node costs kd = 4^(l-1-d) units).
-    Past class 0, the node alone, it holds the node's relevance plus MALL[d],
-    the merge of its children's pair merges M12[d] and M34[d].  The merges
-    are kept so any table entry can be deterministically traced back to a
-    selection.
+    The tables are one list L of half-levels.  L[2d][m, k] is the maximal
+    relevance of an ancestor-closed selection of the subtree rooted at (d, m)
+    whose integer rate cost is exactly k (cost unit: the depth-(l-1)
+    increment; a depth-d node costs kd = 4^(l-1-d) units).  L[2d+1] holds
+    depth d's pair merges: row 2m merges children 0 and 1 of node m, and row
+    2m+1 children 2 and 3.  L[2l] holds the finest cells, which are no
+    candidates, as the single class 0.  Each half-level is the max-plus merge
+    of row pairs 2r and 2r+1 of the one below it; a node level then holds 0,
+    the empty tree, at class 0, _NEG below kd, and the node's relevance plus
+    the merge from kd on.  Any entry traces back to a selection by splitting
+    it where its two halves sum largest.
 
     Tables are built on demand, up to the largest root class k_cap asked for
     so far.  A node whose ancestors cost A units in all takes no class above
@@ -465,14 +470,14 @@ class _LatticeDP:
     Every clipped entry is its full table's entry bit for bit: the maximum of
     the same sums.
 
-    The root table T[0] and MALL[0] are built only when read; the Pareto
-    trace reads them.  One-shot solves query the root's half-merges instead.
-    With pm the prefix maxima of M34[0] and r the root's relevance, the root
-    reaches a value v by class k0 + i + j (k0 the root's cost) exactly when
-    r + (M12[0][i'] + M34[0][j']) >= v for some i' <= i, j' <= j, which is
-    r + (M12[0][i'] + pm[j]) >= v: the sums the root table holds, evaluated
+    The root table L[0] is built only when read; the Pareto trace reads it.
+    One-shot solves query the root's pair merges L[1] instead.  With pm the
+    prefix maxima of L[1][1] and r the root's relevance, the root reaches a
+    value v by class k0 + i + j (k0 the root's cost) exactly when
+    r + (L[1][0][i'] + L[1][1][j']) >= v for some i' <= i, j' <= j, which is
+    r + (L[1][0][i'] + pm[j]) >= v: the sums the root table holds, evaluated
     as it evaluates them, and monotone in j.  So a cheapest class pairs a
-    rise of the prefix maxima of M12[0] with one of M34[0]; per rise of the
+    rise of the prefix maxima of L[1][0] with one of L[1][1]; per rise of the
     first, a searchsorted over the second's guesses its partner, and exact
     steps on those float sums correct the guess.
     """
@@ -485,7 +490,7 @@ class _LatticeDP:
         self.full_widths = [(depth_l - d) * 4 ** (depth_l - 1 - d) + 1 for d in range(depth_l)]
         self.top = self.full_widths[0] - 1     # the class of the whole tree
         self.k_cap = -1                         # nothing tabulated yet
-        # per row: its tree, and split scans of at most 4^d * width(M12[d])
+        # per row: its tree, and split scans of at most 4^d * width(L[2d+1])
         # entries at depth d
         per_row = max([num_candidates(depth_l)] + [
             4 ** d * (2 * self.full_widths[d + 1] - 1) for d in range(depth_l - 1)])
@@ -499,60 +504,44 @@ class _LatticeDP:
             return
         depth_l = self.depth_l
         self.k_cap = k_cap
-        self.T: list[np.ndarray] = [None] * depth_l
-        self.M12: list[np.ndarray] = [None] * depth_l
-        self.M34: list[np.ndarray] = [None] * depth_l
-        self._mall: list[np.ndarray] = [None] * depth_l
         self.widths = []
         ancestors = 0
         for d in range(depth_l):
             self.widths.append(min(self.full_widths[d], k_cap - ancestors + 1))
             ancestors += 4 ** (depth_l - 1 - d)
-        for d in range(depth_l - 1, -1, -1):
-            n, kd, width = 4 ** d, 4 ** (depth_l - 1 - d), self.widths[d]
-            if width <= kd:
-                self.T[d] = np.zeros((n, 1))
-                continue
-            if d == depth_l - 1:    # a leaf's children take only class 0
-                self.M12[d] = self.M34[d] = np.zeros((n, 1))
-            else:
-                child = self.T[d + 1].reshape(n, 4, -1)
-                self.M12[d] = _maxplus(child[:, 0], child[:, 1], width - kd)
-                self.M34[d] = _maxplus(child[:, 2], child[:, 3], width - kd)
-            if d:
-                self._close(d)
+        self.L: list[np.ndarray] = [None] * (2 * depth_l) + [np.zeros((4 ** depth_l, 1))]
+        for h in range(2 * depth_l - 1, 0, -1):
+            self._merge(h)
 
-    def _close(self, d: int) -> None:
-        """MALL[d] and T[d] from the level's pair merges."""
-        n, kd = 4 ** d, 4 ** (self.depth_l - 1 - d)
-        mall = _maxplus(self.M12[d], self.M34[d], self.widths[d] - kd)
-        td = np.full((n, kd + mall.shape[1]), _NEG)
-        td[:, 0] = 0.0
-        td[:, kd:] = self.b[depth_offset(d):depth_offset(d + 1), None] + mall
-        self._mall[d], self.T[d] = mall, td
-
-    def _build_root(self) -> None:
-        """Tabulate every class, the root table and its merge included."""
-        self.tabulate(self.top)
-        if self.T[0] is None:
-            self._close(0)
-
-    @property
-    def MALL(self) -> list[np.ndarray]:
-        """The children merges of every level, the root's included."""
-        self._build_root()
-        return self._mall
+    def _merge(self, h: int) -> None:
+        """Half-level h from the row pairs of half-level h + 1."""
+        d = h // 2
+        kd, width = 4 ** (self.depth_l - 1 - d), self.widths[d]
+        if width <= kd:     # no class up to the cap selects a depth-d node
+            self.L[h] = np.zeros((2 ** h, 1))
+            return
+        below = self.L[h + 1]
+        merge = _maxplus(below[0::2], below[1::2], width - kd)
+        if h % 2:
+            self.L[h] = merge
+            return
+        node = np.full((merge.shape[0], kd + merge.shape[1]), _NEG)
+        node[:, 0] = 0.0
+        node[:, kd:] = self.b[depth_offset(d):depth_offset(d + 1), None] + merge
+        self.L[h] = node
 
     @property
     def root(self) -> np.ndarray:
         """The full root table."""
-        self._build_root()
-        return self.T[0][0]
+        self.tabulate(self.top)
+        if self.L[0] is None:
+            self._merge(0)
+        return self.L[0][0]
 
     def _root_halves(self, k_cap: int):
-        """M12[0] and M34[0] of the root, tabulated up to k_cap."""
+        """The root's pair merges, tabulated up to k_cap."""
         self.tabulate(k_cap)
-        return self.M12[0][0], self.M34[0][0]
+        return self.L[1]
 
     def best_value(self, k_cap: int) -> float:
         """The largest value of the root table in classes 0..k_cap."""
@@ -582,7 +571,7 @@ class _LatticeDP:
         def reaches(r):     # the root table's own float sums
             return self.b[0] + (u + w[np.minimum(r, last)]) >= value
 
-        # a float guess of each i's first rise of M34, then exact steps to it
+        # a float guess of each i's first rise of L[1][1], then exact steps to it
         r = np.searchsorted(w, value - self.b[0] - u)
         while np.any(step := (r <= last) & ~reaches(r)):
             r += step
@@ -593,14 +582,9 @@ class _LatticeDP:
         k = k[k <= j_cap]
         return self.root_cost + int(k.min()) if k.size else None
 
-    def reconstruct(self, k_target: int) -> np.ndarray:
-        """Selection vector achieving root table entry k_target, smallest
-        child-split indices first (deterministic)."""
-        return self.reconstruct_many([k_target])[0]
-
     def reconstruct_many(self, k_targets) -> np.ndarray:
-        """reconstruct(k) for each tabulated class k, as the rows of one uint8
-        matrix.
+        """The tree of each tabulated root class in k_targets, as the rows of
+        one uint8 matrix.
 
         Rows are traced level by level in batches of batch_rows, so the
         split scans never hold more than about _BATCH_ELEMENTS entries.
@@ -615,9 +599,9 @@ class _LatticeDP:
         """Mark in z the nodes of each row's tree.
 
         Per level, the active (row, node, class) triples are deduplicated
-        over (node, class), since rows often share subtrees, and each distinct
-        entry is split into its four children's classes at once.  An entry
-        of an untabulated root merge is the largest sum of its split scan.
+        over (node, class), since rows often share subtrees.  Each distinct
+        node entry is split into its pair merges' classes, and each of those
+        into its two children's classes.
         """
         depth_l = self.depth_l
         row = np.flatnonzero(k_targets)
@@ -630,16 +614,12 @@ class _LatticeDP:
             width = self.widths[d]
             keys, inverse = np.unique(m * width + k, return_inverse=True)
             um, uk = np.divmod(keys, width)
-            j_all = uk - 4 ** (depth_l - 1 - d)
-            m12, m34, mall = self.M12[d], self.M34[d], self._mall[d]
-            j12 = _first_split(m12, um, m34, um, j_all,
-                               None if mall is None else mall[um, j_all])
-            j34 = j_all - j12
-            child = self.T[d + 1]
-            base = 4 * um
-            j0 = _first_split(child, base, child, base + 1, j12, m12[um, j12])
-            j2 = _first_split(child, base + 2, child, base + 3, j34, m34[um, j34])
-            kids = np.stack([j0, j12 - j0, j2, j34 - j2], axis=1)[inverse].ravel()
+            j = uk - 4 ** (depth_l - 1 - d)
+            j12 = _first_split(self.L[2 * d + 1], um, j)
+            pairs = np.stack([2 * um, 2 * um + 1], axis=1).ravel()
+            jp = np.stack([j12, j - j12], axis=1).ravel()
+            first = _first_split(self.L[2 * d + 2], pairs, jp)
+            kids = np.stack([first, jp - first], axis=1).reshape(-1, 4)[inverse].ravel()
             keep = kids > 0
             row = np.repeat(row, 4)[keep]
             m = (4 * m[:, None] + np.arange(4)).ravel()[keep]
@@ -652,31 +632,26 @@ def _rises(v: np.ndarray):
     return at, v[at]
 
 
-def _first_split(left, left_rows, right, right_rows, k, value) -> np.ndarray:
-    """Per entry i, the smallest j with
-    left[left_rows[i], j] + right[right_rows[i], k[i] - j] == value[i];
-    value None stands for the largest of those sums, the merged entry.
+def _first_split(table, rows, k) -> np.ndarray:
+    """Per entry i, the smallest j at which
+    table[2 rows[i], j] + table[2 rows[i] + 1, k[i] - j] is largest.
 
-    This is the addition _maxplus made, so the equality is exact.
+    That largest sum is the entry _maxplus merged from the two rows: both
+    make the same float additions, and max is exact.
     """
-    p, q = left.shape[1], right.shape[1]
-    lo = np.maximum(k - (q - 1), 0)
+    p = table.shape[1]
+    lo = np.maximum(k - (p - 1), 0)
     count = np.minimum(k, p - 1) - lo + 1
     start = np.cumsum(count) - count
     step = np.arange(int(count.sum()))
-    left_pos = np.repeat(left_rows * p + lo - start, count)
+    left_pos = np.repeat(2 * rows * p + lo - start, count)
     left_pos += step
-    right_pos = np.repeat(right_rows * q + k - lo + start, count)
+    right_pos = np.repeat((2 * rows + 1) * p + k - lo + start, count)
     right_pos -= step
-    sums = left.take(left_pos)
-    sums += right.take(right_pos)
-    if value is None:
-        value = np.maximum.reduceat(sums, start)
-    hit = np.flatnonzero(sums == np.repeat(value, count))
-    first = np.append(hit, step.size)[np.searchsorted(hit, start)]
-    if np.any(first >= start + count):
-        raise AssertionError("lattice reconstruction failed to split a table entry")
-    return first - start + lo
+    sums = table.take(left_pos)
+    sums += table.take(right_pos)
+    hit = np.flatnonzero(sums == np.repeat(np.maximum.reduceat(sums, start), count))
+    return hit[np.searchsorted(hit, start)] - start + lo
 
 
 # the rate-class lattice (or None) of each increments object, held only while
@@ -749,7 +724,7 @@ def solve_min_rate(inc: IncrementVectors, d_hat: float,
             # short of a floor that sits right at the feasibility edge: take
             # the first class holding the root's maximum
             k = lattice.first_class(lattice.best_value(lattice.top), lattice.top)
-        return _result_from_z(lattice.reconstruct(k), inc, "min-rate", 0, t0)
+        return _result_from_z(lattice.reconstruct_many([k])[0], inc, "min-rate", 0, t0)
     z, nodes = _solve_covering(a, b, need, node_limit, depth_l)
     return _result_from_z(z, inc, "min-rate", nodes, t0)
 
@@ -776,7 +751,7 @@ def solve_max_relevance(inc: IncrementVectors, budget_d: float,
         # the argmax by summation-order dust alone.  Below the root's own
         # cost only the empty tree fits, and nothing is tabulated.
         k = lattice.first_class(lattice.best_value(k_cap) - TOL, k_cap)
-        return _result_from_z(lattice.reconstruct(k), inc, "max-relevance", 0, t0)
+        return _result_from_z(lattice.reconstruct_many([k])[0], inc, "max-relevance", 0, t0)
     z, nodes = _solve_covering(-b, -a, -cap, node_limit, depth_l)
     return _result_from_z(z, inc, "max-relevance", nodes, t0)
 

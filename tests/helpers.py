@@ -251,15 +251,17 @@ def write_text(path, text):
 
 def reference_reconstruct(lattice, k_target):
     """One node at a time, the tree behind root class k_target of a rate-class
-    lattice: each split is the smallest j whose two halves add up to the
-    merged table entry.  The reference for the batched reconstruction."""
+    lattice: each split is the smallest j at which the two merged rows of the
+    half-level below sum largest.  The reference for the batched
+    reconstruction."""
     from infoquad.quadtree import depth_offset, num_candidates
 
-    def split(left, right, k, value):
+    def split(left, right, k):
+        best = None
         for j in range(max(0, k - (right.size - 1)), min(left.size - 1, k) + 1):
-            if left[j] + right[k - j] == value:
-                return j
-        raise AssertionError("no split reproduces the table entry")
+            if best is None or left[j] + right[k - j] > best:
+                best, first = left[j] + right[k - j], j
+        return first
 
     depth_l = lattice.depth_l
     z = np.zeros(num_candidates(depth_l), dtype=np.uint8)
@@ -272,11 +274,10 @@ def reference_reconstruct(lattice, k_target):
         if d == depth_l - 1:
             continue
         j_all = k - 4 ** (depth_l - 1 - d)
-        m12, m34 = lattice.M12[d][m], lattice.M34[d][m]
-        j12 = split(m12, m34, j_all, lattice.MALL[d][m][j_all])
-        child = lattice.T[d + 1]
-        j0 = split(child[4 * m], child[4 * m + 1], j12, m12[j12])
-        j2 = split(child[4 * m + 2], child[4 * m + 3], j_all - j12, m34[j_all - j12])
+        pairs, child = lattice.L[2 * d + 1], lattice.L[2 * d + 2]
+        j12 = split(pairs[2 * m], pairs[2 * m + 1], j_all)
+        j0 = split(child[4 * m], child[4 * m + 1], j12)
+        j2 = split(child[4 * m + 2], child[4 * m + 3], j_all - j12)
         stack += [(d + 1, 4 * m, j0), (d + 1, 4 * m + 1, j12 - j0),
                   (d + 1, 4 * m + 2, j2), (d + 1, 4 * m + 3, j_all - j12 - j2)]
     return z

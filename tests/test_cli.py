@@ -481,6 +481,23 @@ def test_infinite_budget_sets_no_rate_limit(iid8, tmp_path, capsys, weighted):
     assert docs[0][1]["i_y_nats"] == pytest.approx(full, abs=1e-9)
 
 
+def test_infinite_fraction_on_a_zero_information_map(flat_pgm, tmp_path, capsys):
+    # I(X;Y) = 0 here: an infinite fraction is still an infinite bound, not nan
+    out = tmp_path / "tree.json"
+    assert main(["abstract", "--input", str(flat_pgm), "--mode", "max-relevance",
+                 "--budget-frac", "inf", "--out", str(out)]) == 0
+    assert "leaf_count: 1" in capsys.readouterr().out
+    assert json.loads(out.read_text())["i_y_nats"] == 0.0
+    assert main(["abstract", "--input", str(flat_pgm), "--mode", "min-rate",
+                 "--dhat-frac", "inf"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["D̂ exceeds I(X;Y)"]
+    for name, mode in (("budget", "max-relevance"), ("dhat", "min-rate")):
+        for frac in ("nan", "-inf", "-0.5"):
+            assert main(["abstract", "--input", str(flat_pgm), "--mode", mode,
+                         f"--{name}-frac={frac}"]) == 2
+            assert capsys.readouterr().err.startswith("error: negative")
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", [
     ["abstract", "--mode", "min-rate", "--dhat-frac", "0.5"],

@@ -216,7 +216,7 @@ def test_batched_reconstruction_matches_node_by_node(depth_l, binary):
     batched = lattice.reconstruct_many(ks)
     for k, row in zip(ks, batched):
         assert np.array_equal(row, reference_reconstruct(lattice, k))
-        assert np.array_equal(row, lattice.reconstruct(k))
+        assert np.array_equal(row, lattice.reconstruct_many([k])[0])
 
 
 def test_weighted_trace_uses_the_solvers_and_matches_oracle(monkeypatch):

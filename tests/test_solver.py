@@ -7,6 +7,7 @@ import pytest
 
 import infoquad as iq
 from infoquad import solver
+from infoquad.quadtree import depth_offset
 from infoquad.solver import TOL, _knapsack_ratio, _ladder, _lattice_for, _parametric_dual, _seed
 from helpers import (blob_world, quadrant_world, random_world, reference_knapsack_ratio_cover,
                      reference_knapsack_ratio_pack, reference_pack_lp_objective,
@@ -252,6 +253,37 @@ def test_lattice_one_shot_solves_match_the_full_root_table():
                     # only the empty tree fits, and no table is built
                     assert k == 0 and _lattice_for(fresh).k_cap == -1
     assert fallbacks  # some floor met no class and took the root's argmax
+
+
+@pytest.mark.parametrize("depth_l", [1, 2, 3, 4, 5])
+def test_lattice_half_levels_are_pair_merges(depth_l):
+    world = random_world(np.random.default_rng(70 + depth_l), depth_l)
+    full = _lattice_for(iq.compute_increments(world))
+    assert np.array_equal(full.root, full.L[0][0])
+    top, kds = full.top, [4 ** (depth_l - 1 - d) for d in range(depth_l)]
+    for k_cap in (top, full.root_cost + (top - full.root_cost) // 3, (full.root_cost + top) // 2):
+        lattice = full if k_cap == top else _lattice_for(iq.compute_increments(world))
+        lattice.tabulate(k_cap)
+        L = lattice.L
+        assert len(L) == 2 * depth_l + 1
+        assert np.array_equal(L[-1], np.zeros((4 ** depth_l, 1)))
+        for h in range(2 * depth_l - 1, -1 if k_cap == top else 0, -1):
+            d = h // 2
+            kd = kds[d]
+            width = min((depth_l - d) * kd + 1, k_cap - sum(kds[:d]) + 1)
+            assert L[h].shape[0] == 2 ** h
+            # a clipped table is its full table's prefix, bit for bit
+            assert np.array_equal(L[h], full.L[h][:, :L[h].shape[1]])
+            if width <= kd:
+                assert np.array_equal(L[h], np.zeros((2 ** h, 1)))
+                continue
+            merge = solver._maxplus(L[h + 1][0::2], L[h + 1][1::2], width - kd)
+            if h % 2:
+                assert np.array_equal(L[h], merge)
+                continue
+            b = lattice.b[depth_offset(d):depth_offset(d + 1)]
+            assert np.all(L[h][:, 0] == 0.0) and np.all(L[h][:, 1:kd] == solver._NEG)
+            assert np.array_equal(L[h][:, kd:], b[:, None] + merge)
 
 
 @pytest.mark.parametrize("depth_l", [1, 2, 3, 4])
