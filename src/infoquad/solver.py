@@ -21,15 +21,19 @@ seed serves both.
 Bounds come from the Lagrangian dual of the row over the tree-validity
 polytope.  For a fixed multiplier lam the inner problem is a minimum-weight
 ancestor-closed subtree of c - lam * g, solved in one bottom-up pass.  The
-dual is piecewise linear in lam, and _parametric_dual finds its optimum by
-Newton steps between two bracketing subtrees (the generalized BFOS pruning
-sequence), a few closure passes in all; its value there equals the
-LP-relaxation optimum, and the LP relaxation uses the same routine.  Because the duals of the remaining
-subproblems drift as the search fixes the shallow backbone, bounds are
-evaluated on a geometric ladder of multipliers around the root-optimal one
-(every multiplier gives a valid bound), tabulated in one closure pass over
-all of them; the fractional-knapsack critical ratio is one of the ladder
-anchors, so the per-node bound dominates the plain knapsack bound as well.
+dual is concave and piecewise linear in lam, and _parametric_dual finds its
+optimum by Newton steps between two bracketing subtrees (the generalized
+BFOS pruning sequence), a few closure passes in all.  That optimum is the
+root bound: the LP relaxation's value at the search's floor (the LP
+relaxation uses the same routine), which no other multiplier's value
+exceeds.  A greedy seed whose cost is within 1e-9 of it is certified and
+returned without search.  Only otherwise is the ladder built: because the
+duals of the remaining subproblems drift as the search fixes the shallow
+backbone, bounds are evaluated on a geometric ladder of multipliers around
+the root-optimal one (every multiplier gives a valid bound), tabulated in
+one closure pass over all of them; the fractional-knapsack critical ratio
+is one of the ladder anchors, so the per-node bound dominates the plain
+knapsack bound as well.
 Per search node the bound update is a single K-vector operation.
 
 Feasibility tolerance is 1e-9 everywhere; ties within it are broken by
@@ -160,23 +164,6 @@ def _knapsack_ratio(c, g, bound) -> float:
     return 0.0 if start else float(ratio[order[-1]])
 
 
-class _Ladder:
-    """Per-multiplier closure-gain tables, laid out for vector bound updates.
-
-    For branch value 1 the frontier gain sum moves by D1[r]; for value 0 it
-    moves by -G[r].  lam is the (K,) multiplier vector, root_bound the dual
-    bound of the untouched problem.
-    """
-
-    __slots__ = ("lam", "G", "D1", "root_bound")
-
-    def __init__(self, lam, G, D1, root_bound):
-        self.lam = lam
-        self.G = np.ascontiguousarray(G)
-        self.D1 = np.ascontiguousarray(D1)
-        self.root_bound = root_bound
-
-
 def _parametric_dual(c, g, bound, depth_l):
     """Optimal multiplier of the Lagrangian dual of the covering program
     min c.z s.t. g.z >= bound over valid selections.
@@ -216,31 +203,25 @@ def _parametric_dual(c, g, bound, depth_l):
     raise RuntimeError("parametric closure did not converge")
 
 
-def _ladder_multipliers(anchors) -> np.ndarray:
-    base = max(max(anchors), 1e-9)
-    grid = base * np.exp2(np.linspace(-_LADDER_SPAN, _LADDER_SPAN, _LADDER_STEPS))
-    lams = np.unique(np.concatenate([grid, [a for a in anchors if a > 0]]))
-    return lams
-
-
-def _ladder(c, g, bound, depth_l) -> _Ladder:
-    """Lower-bound ladder of the covering program min {c.z : g.z >= bound}
-    over valid selections.
+def _ladder(c, g, bound, lam_star, depth_l):
+    """Lower-bound ladder (lam, G, D1) of the covering program
+    min {c.z : g.z >= bound} over valid selections: the (K,) multipliers,
+    and per candidate r the K-vectors by which a branch moves the frontier
+    gain sum, D1[r] for value 1 and -G[r] for value 0.
 
     The multipliers are a geometric grid around the larger of the dual's
-    optimal multiplier and the fractional-knapsack critical ratio.  All their
-    closures come from one pass over a (K, n) weight matrix, one row per
-    multiplier, so each row sums exactly as a single-vector pass would.  The
-    root bound is also at least the sum of the negative entries of c.
+    optimal multiplier lam_star and the fractional-knapsack critical ratio,
+    plus both anchors.  All their closures come from one pass over a (K, n)
+    weight matrix, one row per multiplier, so each row sums exactly as a
+    single-vector pass would.
     """
-    lam_star, root_bound, _, _ = _parametric_dual(c, g, bound, depth_l)
-    lams = _ladder_multipliers([lam_star, _knapsack_ratio(c, g, bound)])
-    w = c - lams[:, None] * g
+    anchors = (lam_star, _knapsack_ratio(c, g, bound))
+    grid = max(*anchors, 1e-9) * np.exp2(np.linspace(-_LADDER_SPAN, _LADDER_SPAN, _LADDER_STEPS))
+    lam = np.unique(np.concatenate([grid, [a for a in anchors if a > 0]]))
+    w = c - lam[:, None] * g
     best = _closure_best(w, depth_l)
     gain = np.minimum(best, 0.0)
-    at_root = lams * bound + gain[:, 0]
-    root_bound = max(root_bound, float(at_root.max()), float(np.minimum(c, 0.0).sum()))
-    return _Ladder(lams, gain.T, (best - w - gain).T, root_bound)
+    return lam, np.ascontiguousarray(gain.T), np.ascontiguousarray((best - w - gain).T)
 
 
 def _seed(c, g, need) -> np.ndarray:
@@ -346,7 +327,7 @@ def _search(c, g, need, ladder, seed_z, node_limit, depth_l):
     g_up, c_dn = clipped.tolist()
     sub_g_up, sub_c_dn = _subtree_sums(clipped, depth_l).tolist()
     cL, gL = c.tolist(), g.tolist()
-    lam, G, D1 = ladder.lam, ladder.G, ladder.D1
+    lam, G, D1 = ladder
     live = (_subtree_sums((c != 0) | (g != 0), depth_l) > 0).tolist()
     inner = depth_offset(depth_l - 1)   # candidates with candidate children
     live_kids = [tuple(k for k in range(4 * r + 1, 4 * r + 5) if live[k])
@@ -410,11 +391,12 @@ def _search(c, g, need, ladder, seed_z, node_limit, depth_l):
 
 def _solve_covering(c, g, need, node_limit, depth_l):
     """(z, nodes_explored) of min c.z s.t. g.z >= need: the greedy seed when
-    the root bound certifies it, else the search's optimum."""
+    the dual optimum certifies it, else the search's optimum."""
     seed_z = _seed(c, g, need)
-    ladder = _ladder(c, g, need, depth_l)
-    if float(c @ seed_z) <= ladder.root_bound + TOL:
+    lam_star, root_bound, _, _ = _parametric_dual(c, g, need, depth_l)
+    if float(c @ seed_z) <= root_bound + TOL:
         return seed_z, 0
+    ladder = _ladder(c, g, need, lam_star, depth_l)
     return _search(c, g, need, ladder, seed_z, node_limit, depth_l)
 
 
@@ -538,17 +520,13 @@ class _LatticeDP:
             self._merge(0)
         return self.L[0][0]
 
-    def _root_halves(self, k_cap: int):
-        """The root's pair merges, tabulated up to k_cap."""
-        self.tabulate(k_cap)
-        return self.L[1]
-
     def best_value(self, k_cap: int) -> float:
         """The largest value of the root table in classes 0..k_cap."""
         j_cap = k_cap - self.root_cost
         if j_cap < 0:
             return 0.0      # the root alone costs more: only the empty tree fits
-        m12, m34 = self._root_halves(k_cap)
+        self.tabulate(k_cap)
+        m12, m34 = self.L[1]
         pm = np.maximum.accumulate(m34)
         i = np.arange(min(m12.size, j_cap + 1))
         tail = self.b[0] + (m12[i] + pm[np.minimum(j_cap - i, pm.size - 1)]).max()
@@ -562,7 +540,8 @@ class _LatticeDP:
         j_cap = k_cap - self.root_cost
         if j_cap < 0:
             return None
-        m12, m34 = self._root_halves(k_cap)
+        self.tabulate(k_cap)
+        m12, m34 = self.L[1]
         # an entry of either half below an earlier one starts no cheapest pair
         i, u = _rises(m12)
         j, w = _rises(m34)
@@ -584,19 +563,8 @@ class _LatticeDP:
 
     def reconstruct_many(self, k_targets) -> np.ndarray:
         """The tree of each tabulated root class in k_targets, as the rows of
-        one uint8 matrix.
-
-        Rows are traced level by level in batches of batch_rows, so the
-        split scans never hold more than about _BATCH_ELEMENTS entries.
-        """
-        k_targets = np.asarray(k_targets, dtype=np.int64)
-        out = np.zeros((k_targets.size, num_candidates(self.depth_l)), dtype=np.uint8)
-        for lo in range(0, k_targets.size, self.batch_rows):
-            self._trace_rows(k_targets[lo:lo + self.batch_rows], out[lo:lo + self.batch_rows])
-        return out
-
-    def _trace_rows(self, k_targets: np.ndarray, z: np.ndarray) -> None:
-        """Mark in z the nodes of each row's tree.
+        one uint8 matrix.  Callers pass at most batch_rows classes, so that
+        the split scans hold no more than about _BATCH_ELEMENTS entries.
 
         Per level, the active (row, node, class) triples are deduplicated
         over (node, class), since rows often share subtrees.  Each distinct
@@ -604,6 +572,8 @@ class _LatticeDP:
         into its two children's classes.
         """
         depth_l = self.depth_l
+        k_targets = np.asarray(k_targets, dtype=np.int64)
+        z = np.zeros((k_targets.size, num_candidates(depth_l)), dtype=np.uint8)
         row = np.flatnonzero(k_targets)
         m = np.zeros(row.size, dtype=np.int64)
         k = k_targets[row]
@@ -624,6 +594,7 @@ class _LatticeDP:
             row = np.repeat(row, 4)[keep]
             m = (4 * m[:, None] + np.arange(4)).ravel()[keep]
             k = kids[keep]
+        return z
 
 
 def _rises(v: np.ndarray):

@@ -410,10 +410,10 @@ def test_ladder_root_bound_never_beats_the_exact_optimum():
             d_hat = frac * total_y
             if d_hat > iq.TOL:
                 exact = iq.brute_force_solve(inc, "min-rate", d_hat).objective
-                assert _ladder(a, b, d_hat - iq.TOL, depth_l).root_bound <= exact + 1e-12
+                assert _parametric_dual(a, b, d_hat - iq.TOL, depth_l)[1] <= exact + 1e-12
             budget = frac * total_x
             exact = iq.brute_force_solve(inc, "max-relevance", budget).objective
-            assert -_ladder(-b, -a, -(budget + iq.TOL), depth_l).root_bound >= exact - 1e-12
+            assert -_parametric_dual(-b, -a, -(budget + iq.TOL), depth_l)[1] >= exact - 1e-12
 
 
 def test_search_leaves_the_recursion_limit_alone(monkeypatch):
@@ -489,3 +489,29 @@ def test_search_effort_does_not_grow():
             inc, (5.0, 7.5, 10.0, 30.0, 60.0)[k % 5] * info).nodes_explored
     assert min_rate_nodes <= 15_532
     assert max_relevance_nodes <= 13_602
+
+
+def test_certified_seed_builds_no_ladder(monkeypatch):
+    """A solve whose seed the dual optimum certifies builds no ladder; a
+    solve that searches builds exactly one, on the worlds and fractions of
+    test_search_effort_does_not_grow."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _ladder(*args)
+
+    monkeypatch.setattr(solver, "_ladder", counted)
+    rng = np.random.default_rng(41)
+    certified = 0
+    for k in range(24):
+        world = blob_world(rng, 4, zero_weight=k % 4 == 3)
+        inc = iq.compute_increments(world)
+        info = iq.mutual_info_xy(world)
+        for solve, frac in ((iq.solve_min_rate, (0.6, 0.7, 0.75, 0.8, 0.85)[k % 5]),
+                            (iq.solve_max_relevance, (5.0, 7.5, 10.0, 30.0, 60.0)[k % 5])):
+            calls.clear()
+            nodes = solve(inc, frac * info).nodes_explored
+            assert len(calls) == (nodes > 0)
+            certified += nodes == 0
+    assert certified > 0
