@@ -3,7 +3,7 @@
 Commands: abstract, pareto, infoplane, relax, validate, increments.  All
 output is deterministic byte for byte: CSV floats use 12 significant digits
 and timing columns stay zero unless --timings is passed.  Exit codes: 0 ok,
-1 infeasible, inconsistent, or an exact search that hit its --node-limit,
+1 infeasible, inconsistent, or an exact weighted solve past its --node-limit,
 2 I/O or format error, a negative or NaN floor, budget or step, or a
 non-finite prior weight (argparse also exits 2 on a bad option).  A budget of
 inf sets no rate limit.
@@ -102,7 +102,7 @@ def cmd_infoplane(args) -> int:
     inc = compute_increments(world)
     info_xy = mutual_info_xy(world)
     grid = np.linspace(0.0, info_xy, args.sweep) if args.sweep > 1 else np.array([0.0])
-    # every floor is solved before the file is opened, so a search that stops
+    # every floor is solved before the file is opened, so a solve that stops
     # at its node limit leaves no partial CSV behind
     rows = [["method", "d_hat", "i_x", "i_y", "met_constraint", "ms"]]
     for d_hat in grid:
@@ -206,7 +206,7 @@ def _positive_int(text: str) -> int:
 def _add_node_limit(parser):
     parser.add_argument(
         "--node-limit", type=_positive_int, default=DEFAULT_NODE_LIMIT,
-        help="exact-search node budget before a resource-limit failure",
+        help="list points an exact weighted solve may merge before it fails",
     )
 
 

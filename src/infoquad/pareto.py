@@ -13,7 +13,7 @@ table holds the maximal relevance of every integer rate class, so the classes
 a floor can select are the strict prefix records of that one array.  All
 records are reconstructed in batched level-by-level passes and the floor sweep
 replays over them, with no solve per point.  Weighted priors run the sweep
-with one min-rate search per point.
+with one min-rate solve per point.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .quadtree import TreeSelection
 from .solver import (
     DEFAULT_NODE_LIMIT,
     TOL,
+    _check_bound,
     _lattice_for,
     _LatticeDP,
     solve_min_rate,
@@ -83,8 +84,7 @@ def pareto_point(inc: IncrementVectors, d_hat: float,
     d_hat_star >= d_hat - 1e-9.
     """
     total = float(inc.delta_y.sum())
-    if not d_hat >= 0:
-        raise ValueError(f"negative d_hat: {d_hat}")
+    _check_bound("d_hat", d_hat)
     if d_hat > total + TOL:
         raise ValueError(
             f"d_hat {d_hat!r} exceeds the total relevance I(X;Y) = {total!r}"

@@ -5,8 +5,8 @@ relevance row is exact.  For a multiplier lam each ancestor-closed subtree Z
 gives the dual line lam * (d_hat - Z.delta_y) + Z.delta_x; the breakpoints of
 their lower envelope are the generalized BFOS pruning sequence (Chou,
 Lookabaugh & Gray, IEEE Trans. IT 1989).  Newton steps on that envelope, the
-routine the search's bounds use too, find the optimum: the convex combination
-of two nested subtrees on the floor.
+routine that also bounds the exact weighted solves, find the optimum: the
+convex combination of two nested subtrees on the floor.
 Thresholding such a precedence-feasible vector always yields a valid tree, but
 not always one that still meets the floor, so relax_and_round reports a flag.
 """
@@ -20,7 +20,7 @@ import numpy as np
 
 from .increments import IncrementVectors
 from .quadtree import TreeSelection, _drop_orphans, _orphans, depth_from_candidate_count
-from .solver import TOL, SolveResult, _FLOOR_SLACK, _parametric_dual, _result_from_z
+from .solver import TOL, SolveResult, _FLOOR_SLACK, _check_bound, _parametric_dual, _result_from_z
 
 __all__ = [
     "FractionalSelection",
@@ -60,8 +60,7 @@ class FractionalSelection:
 
 def solve_lp_relaxation(inc: IncrementVectors, d_hat: float) -> tuple[FractionalSelection, float]:
     """Optimal point of the relaxed min-rate program and its objective value."""
-    if not d_hat >= 0:
-        raise ValueError(f"negative d_hat: {d_hat}")
+    _check_bound("d_hat", d_hat)
     total = float(inc.delta_y.sum())
     if d_hat > total + TOL:
         raise ValueError(

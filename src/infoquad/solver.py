@@ -6,43 +6,39 @@ one information row:
   min-rate        minimize z . delta_x   subject to z . delta_y >= d_hat
   max-relevance   maximize z . delta_y   subject to z . delta_x <= budget
 
-Validity (a child selected only with its parent) is built into the search:
-a candidate is branched on only once its parent is selected, so every
-explored assignment is a tree.
+Validity (a child selected only with its parent) is built into every
+engine: each builds its trees from the root down.
 
-Non-uniform priors run both programs as one covering search,
+Non-uniform priors run both programs as one covering program,
 
   minimize c . z   subject to g . z >= need,
 
 with min-rate as (delta_x, delta_y, d_hat) and max-relevance as
 (-delta_y, -delta_x, -budget).  Negation is exact in floating point, so each
-program makes the same comparisons as in its direct form, and one greedy
-seed serves both.
+program makes the same comparisons as in its direct form.
 Bounds come from the Lagrangian dual of the row over the tree-validity
 polytope.  For a fixed multiplier lam the inner problem is a minimum-weight
 ancestor-closed subtree of c - lam * g, solved in one bottom-up pass.  The
 dual is concave and piecewise linear in lam, and _parametric_dual finds its
-optimum by Newton steps between two bracketing subtrees (the generalized
-BFOS pruning sequence), a few closure passes in all.  That optimum is the
-root bound: the LP relaxation's value at the search's floor (the LP
-relaxation uses the same routine), which no other multiplier's value
-exceeds.  A greedy seed whose cost is within 1e-9 of it is certified and
-returned without search.  Only otherwise is the ladder built: because the
-duals of the remaining subproblems drift as the search fixes the shallow
-backbone, bounds are evaluated on a geometric ladder of multipliers around
-the root-optimal one (every multiplier gives a valid bound), tabulated in
-one closure pass over all of them; the fractional-knapsack critical ratio
-is one of the ladder anchors, so the per-node bound dominates the plain
-knapsack bound as well.
-Per search node the bound update is a single K-vector operation.
+optimum, the LP relaxation's value, by Newton steps between two bracketing
+subtrees (the generalized BFOS pruning sequence).  A greedy seed within
+1e-9 of it is certified and returned.  Otherwise the seed's cost caps one
+exact engine: Pareto lists of (c, g) points (Nemhauser & Ullmann, Mgmt.
+Sci. 1969) merged bottom-up over the lattice's half-level layout, as in the
+tree-knapsack DP of Johnson & Niemi (Math. OR 1983), where a point stays
+only while trees through it can still meet the row within that cost.  The
+root is a query on its two pair lists.
 
-Feasibility tolerance is 1e-9 everywhere; ties within it are broken by
-smaller c . z, then larger g . z: smaller rate before larger relevance for
-min-rate, larger relevance before smaller rate for max-relevance.  Among
-trees tied on both, the search and brute_force_solve take the
-lexicographically smallest selection vector.  A min-rate solve therefore
-returns a most relevant tree among those of minimal rate, which is a Pareto
-point: the frontier trace needs no second program.
+Feasibility tolerance is 1e-9 everywhere.  A solve takes the least c . z
+and, among trees within 1e-9 of it, the largest g . z: smaller rate before
+larger relevance for min-rate, larger relevance before smaller rate for
+max-relevance.  A min-rate solve therefore returns a most relevant tree
+among those of minimal rate, which is a Pareto point: the frontier trace
+needs no second program.  Among trees tied on both values the lists keep the
+first point met, the empty point before any other (so a subtree of zero
+mass stays unsplit), and the root the first pair its query meets.  Like the
+lattice's, that choice need not be brute_force_solve's, which takes the
+lexicographically smallest selection vector.
 
 Uniform priors get a better algorithm entirely.  There every node at depth d
 costs exactly 4^(l-1-d) units of ln(4)/4^(l-1) nats, so the rate objective is
@@ -89,8 +85,6 @@ __all__ = [
 TOL = 1e-9
 DEFAULT_NODE_LIMIT = 50_000_000
 
-_LADDER_SPAN = 10     # multipliers cover anchor * 2^[-span, span]
-_LADDER_STEPS = 29
 # Newton slacks: a subtree within _FLOOR_SLACK of a row's bound keeps the row,
 # and a closure within _DUAL_SLACK of the bracket lines does not lie below
 # them.  Without them subtrees tied at the optimal multiplier make the steps
@@ -100,7 +94,13 @@ _DUAL_SLACK = 1e-14     # relative to the magnitude of a dual line
 
 
 class ResourceLimitExceeded(RuntimeError):
-    """Search hit its node-exploration limit before proving optimality."""
+    """The exact solve hit its work limit before proving optimality."""
+
+
+def _check_bound(name: str, value: float) -> None:
+    """Reject a floor or budget that is negative or NaN."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be a non-negative number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -110,23 +110,14 @@ class SolveResult:
     i_y: float
     objective: float
     status: str                 # "optimal" or "infeasible"
+    # the list points the weighted merges made, pair sums and empty points; 0
+    # for lattice, trivial and certified-seed solves
     nodes_explored: int
     wall_time_ms: float
 
 
 def _offsets(depth_l: int) -> list[int]:
     return [depth_offset(d) for d in range(depth_l + 1)]
-
-
-def _subtree_sums(vec: np.ndarray, depth_l: int) -> np.ndarray:
-    """sums[..., t] = vec summed over t and all of t's descendant candidates,
-    for a vector or for each row of a matrix."""
-    off = _offsets(depth_l)
-    out = vec.astype(np.float64)
-    for d in range(depth_l - 2, -1, -1):
-        kids = out[..., off[d + 1]:off[d + 2]]
-        out[..., off[d]:off[d + 1]] += kids.reshape(vec.shape[:-1] + (-1, 4)).sum(axis=-1)
-    return out
 
 
 def _closure_best(w: np.ndarray, depth_l: int) -> np.ndarray:
@@ -138,30 +129,6 @@ def _closure_best(w: np.ndarray, depth_l: int) -> np.ndarray:
         kids = np.minimum(best[..., off[d + 1]:off[d + 2]], 0.0)
         best[..., off[d]:off[d + 1]] += kids.reshape(w.shape[:-1] + (-1, 4)).sum(axis=-1)
     return best
-
-
-def _knapsack_ratio(c, g, bound) -> float:
-    """Critical price of the fractional covering knapsack min c.u s.t.
-    g.u >= bound, 0 <= u <= 1, for g of one sign: the smallest breakpoint
-    c/g at which the items with c - lam*g < 0 cover the bound.
-
-    The greedy takes items cheapest per unit of |g| first, which is the
-    order in which they turn negative as lam rises (g > 0) or falls (g < 0).
-    The price is the ratio of the item at which its coverage crosses the
-    bound; 0 when the empty selection covers the bound and no item uncovers
-    it, and the last item's ratio when the bound is out of reach.
-    """
-    sel = g != 0
-    if not np.any(sel):
-        return 0.0
-    c, g = c[sel], g[sel]
-    ratio = c / g
-    order = np.argsort(c / np.abs(g), kind="stable")
-    start = 0.0 >= bound
-    cross = np.flatnonzero((np.cumsum(g[order]) >= bound) != start)
-    if cross.size:
-        return float(ratio[order[cross[0]]])
-    return 0.0 if start else float(ratio[order[-1]])
 
 
 def _parametric_dual(c, g, bound, depth_l):
@@ -201,27 +168,6 @@ def _parametric_dual(c, g, bound, depth_l):
         else:
             lo, x_lo, y_lo = mask, x_c, y_c
     raise RuntimeError("parametric closure did not converge")
-
-
-def _ladder(c, g, bound, lam_star, depth_l):
-    """Lower-bound ladder (lam, G, D1) of the covering program
-    min {c.z : g.z >= bound} over valid selections: the (K,) multipliers,
-    and per candidate r the K-vectors by which a branch moves the frontier
-    gain sum, D1[r] for value 1 and -G[r] for value 0.
-
-    The multipliers are a geometric grid around the larger of the dual's
-    optimal multiplier lam_star and the fractional-knapsack critical ratio,
-    plus both anchors.  All their closures come from one pass over a (K, n)
-    weight matrix, one row per multiplier, so each row sums exactly as a
-    single-vector pass would.
-    """
-    anchors = (lam_star, _knapsack_ratio(c, g, bound))
-    grid = max(*anchors, 1e-9) * np.exp2(np.linspace(-_LADDER_SPAN, _LADDER_SPAN, _LADDER_STEPS))
-    lam = np.unique(np.concatenate([grid, [a for a in anchors if a > 0]]))
-    w = c - lam[:, None] * g
-    best = _closure_best(w, depth_l)
-    gain = np.minimum(best, 0.0)
-    return lam, np.ascontiguousarray(gain.T), np.ascontiguousarray((best - w - gain).T)
 
 
 def _seed(c, g, need) -> np.ndarray:
@@ -277,127 +223,165 @@ def _pack_bits(z) -> bytes:
     return np.packbits(np.asarray(z, dtype=np.uint8)).tobytes()
 
 
-class _Incumbent:
-    __slots__ = ("c", "g", "pack", "z")
-
-    def __init__(self, c, g, z):
-        self.c = c
-        self.g = g
-        self.pack = _pack_bits(z)
-        self.z = np.asarray(z, dtype=np.uint8).copy()
+_BLOCK = 8192       # list points generated, pruned and filtered at a time
+# the Lagrangian prunes' multipliers, in units of the dual's optimal one
+_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
-def _better(fc, fg, pack_fn, inc: _Incumbent) -> bool:
-    """Smaller c, then larger g, then the lexicographically smaller selection."""
-    if fc < inc.c - TOL:
-        return True
-    if fc > inc.c + TOL:
-        return False
-    if fg > inc.g + TOL:
-        return True
-    if fg < inc.g - TOL:
-        return False
-    return pack_fn() < inc.pack
+def _frontier(pts) -> np.ndarray:
+    """Indices of the columns (row, c, g, ...) of pts that no point of their
+    row dominates, by row, then c ascending with g strictly rising; of exact
+    ties the first.  Complex numbers sort and compare lexicographically: a
+    stable sort of row + i c orders each row by c, a running maximum of
+    row + i g stays within each row, and of equal c the last kept is best."""
+    key = pts[0] + 1j * pts[1]
+    order = np.argsort(key, kind="stable")
+    rise = (pts[0] + 1j * pts[2])[order]
+    keep = np.ones(order.size, dtype=bool)
+    np.greater(rise[1:], np.maximum.accumulate(rise[:-1]), out=keep[1:])
+    order = order[keep]
+    key = key[order]
+    keep = np.ones(order.size, dtype=bool)
+    np.not_equal(key[:-1], key[1:], out=keep[:-1])
+    return order[keep]
 
 
-_ENTER, _BRANCH, _UNDO = range(3)   # the search's task kinds
-
-
-def _search(c, g, need, ladder, seed_z, node_limit, depth_l):
-    """Depth-first exact search of min c.z s.t. g.z >= need from the seed
-    selection seed_z as first incumbent; returns (z, nodes_explored).
-
-    Candidates are decided in canonical order among the currently available
-    ones (children enter the queue only once their parent is selected), the
-    seed's value is branched first, and a subtree is pruned when the
-    undecided candidates cannot bring g.z up to need, or when its dual
-    bound cannot tie the incumbent within tolerance.  A candidate whose
-    whole subtree has c = g = 0 stays 0 undecided: selecting it changes
-    neither sum and only makes the selection lexicographically larger.
-
-    The search runs from an explicit stack of tasks: enter the decision at
-    a queue position, take one value of a candidate, and undo a taken 1.  A
-    branch's prunes are tested when it is popped, so the second value of a
-    candidate is judged against the incumbent its sibling's subtree left.
-    """
-    n = c.size
-    # per candidate, the most it can add to g.z and the least it can add to
-    # c.z; alone and summed over its subtree
-    clipped = np.stack([np.maximum(g, 0.0), np.minimum(c, 0.0)])
-    g_up, c_dn = clipped.tolist()
-    sub_g_up, sub_c_dn = _subtree_sums(clipped, depth_l).tolist()
-    cL, gL = c.tolist(), g.tolist()
-    lam, G, D1 = ladder
-    live = (_subtree_sums((c != 0) | (g != 0), depth_l) > 0).tolist()
-    inner = depth_offset(depth_l - 1)   # candidates with candidate children
-    live_kids = [tuple(k for k in range(4 * r + 1, 4 * r + 5) if live[k])
-                 for r in range(inner)] + [()] * (n - inner)
-
-    best = _Incumbent(float(c @ seed_z), float(g @ seed_z), seed_z)
-    seed_first = seed_z.tolist()
-
-    zcur = [0] * n
-    pending = [0] if live[0] else []
-    nodes = 0
-    # rest_up: the most the undecided candidates can add to g.z; rest_c: the
-    # least they can add to c.z
-    stack = [(_ENTER, 0, 0.0, 0.0, G[0].copy(), sub_g_up[0], sub_c_dn[0])]
-    while stack:
-        task = stack.pop()
-        if task[0] == _UNDO:
-            _, r, saved_len = task
-            del pending[saved_len:]
-            zcur[r] = 0
-            continue
-        if task[0] == _ENTER:
-            _, pi, fc, fg, s, rest_up, rest_c = task
-            if pi == len(pending):
-                if fg >= need and _better(fc, fg, lambda: _pack_bits(zcur), best):
-                    best = _Incumbent(fc, fg, zcur)
-                continue
-            nodes += 2
-            if nodes > node_limit:
-                raise ResourceLimitExceeded(
-                    f"node-exploration limit of {node_limit} reached; "
-                    "raise node_limit to continue the exact search"
-                )
-            r = pending[pi]
-            first = seed_first[r]
-            stack.append((_BRANCH, pi, r, 1 - first, fc, fg, s, rest_up, rest_c))
-            stack.append((_BRANCH, pi, r, first, fc, fg, s, rest_up, rest_c))
-            continue
-        _, pi, r, v, fc, fg, s, rest_up, rest_c = task
-        if v:
-            fc += cL[r]
-            fg += gL[r]
-            rest_up -= g_up[r]
-            rest_c -= c_dn[r]
-        else:
-            rest_up -= sub_g_up[r]
-            rest_c -= sub_c_dn[r]
-        if fg + rest_up < need:
-            continue
-        s = s + D1[r] if v else s - G[r]
-        worst = best.c + TOL
-        if fc + rest_c > worst or fc + float((lam * (need - fg) + s).max()) > worst:
-            continue
-        if v:
-            zcur[r] = 1
-            stack.append((_UNDO, r, len(pending)))
-            pending.extend(live_kids[r])
-        stack.append((_ENTER, pi + 1, fc, fg, s, rest_up, rest_c))
-    return best.z, nodes
+def _root_pick(c0, g0, cA, gA, cB, gB, need):
+    """The root's tree from its two pair lists: (i, j) for the root plus
+    points i and j, () for the empty tree, None when no tree meets need.
+    The least cost c* pairs some i with its first partner j meeting need; of
+    the trees within TOL of c*, the one of largest g, the first met."""
+    empty = 0.0 >= need
+    if not (cA.size and cB.size):
+        return () if empty else None
+    jf = _first_partner(g0, gA, gB, need)
+    ok = jf < cB.size
+    c_star = min((c0 + (cA[ok] + cB[jf[ok]])).min(initial=np.inf), 0.0 if empty else np.inf)
+    if c_star == np.inf:
+        return None
+    # per i, the last partner within c* + TOL, from the lists read backwards
+    jw = cB.size - 1 - _first_partner(-c0, -cA, -cB[::-1], -(c_star + TOL))
+    i = np.flatnonzero(jw >= 0)
+    gains = g0 + (gA[i] + gB[jw[i]])
+    if empty and c_star >= -TOL and not (gains > 0.0).any():
+        return ()
+    t = i[np.argmax(gains)]
+    return int(t), int(jw[t])
 
 
 def _solve_covering(c, g, need, node_limit, depth_l):
-    """(z, nodes_explored) of min c.z s.t. g.z >= need: the greedy seed when
-    the dual optimum certifies it, else the search's optimum."""
+    """(z, work) of min c.z s.t. g.z >= need.  The greedy seed is returned
+    when the dual optimum certifies it, when its one candidate makes it
+    exact, or when no other tree comes within TOL of its cost; otherwise the
+    Pareto lists' optimum.
+
+    Each row of the half-level layout lists its points, c ascending and g
+    strictly rising, each with the two points below that it sums (-1 for the
+    empty point).  A point survives while g plus the most the rest adds
+    reaches need, c plus the least the rest adds stays within the seed's
+    cost + TOL, and, but for the empty point, c - lam g plus out_lam(row)
+    stays within that cost less lam * need for each multiplier lam, where
+    out_lam(row) is the least c - lam g a tree holding the row adds outside
+    it.  work counts the points the merges make, checked against node_limit
+    before each block.
+    """
     seed_z = _seed(c, g, need)
-    lam_star, root_bound, _, _ = _parametric_dual(c, g, need, depth_l)
-    if float(c @ seed_z) <= root_bound + TOL:
+    lam_star, bound, _, _ = _parametric_dual(c, g, need, depth_l)
+    worst = float(c @ seed_z)
+    if worst <= bound + TOL or depth_l == 1:
         return seed_z, 0
-    ladder = _ladder(c, g, need, lam_star, depth_l)
-    return _search(c, g, need, ladder, seed_z, node_limit, depth_l)
+    off = _offsets(depth_l)
+    n, cap = c.size, worst + TOL
+    lam = lam_star * np.array(_MULTIPLIERS)
+    # per unit (the candidates, then the finest cells): minus the most its
+    # subtree adds to g, the least it adds to c, and per lam the least it adds
+    # to c - lam g; the first two rows are subtree sums, as they hold no
+    # positive weight
+    best = _closure_best(np.vstack((-np.maximum(g, 0.0), np.minimum(c, 0.0), c - lam[:, None] * g)),
+                         depth_l)
+    inside = np.zeros((best.shape[0], 4 * n + 1))
+    inside[:, :n] = np.minimum(best, 0.0)
+    hold = best[2:]     # hold[:, t]: the least c - lam g of a tree holding t
+    for d in range(1, depth_l):
+        hold[:, off[d]:off[d + 1]] += (np.repeat(hold[:, off[d - 1]:off[d]], 4, axis=1)
+                                       - inside[2:, off[d]:off[d + 1]])
+    # per row, bounds on its points' (-g, c, c - lam g): node rows at unit - 1,
+    # then pair rows at 4n + (first unit - 1) / 2
+    units = inside[:, 1:]
+    ins = np.hstack((units, units.reshape(units.shape[0], -1, 2).sum(axis=2)))
+    held = np.repeat(hold, 4, axis=1)       # unit t's parent's hold at t - 1
+    held = np.hstack((held, held[:, ::2]))
+    bounds = np.vstack(((ins[0] - inside[0, 0]) - need, cap - (inside[1, 0] - ins[1]),
+                        (cap - lam * need)[:, None] - (held - ins[2:])))
+    coef_c, coef_g = np.array([[0.0, 1.0, *np.ones(lam.size)], [1.0, 0.0, *lam]])[:, :, None]
+    own = np.stack((c, g))
+    # the deepest candidates' rows, unpruned: the empty point, then the node
+    m = 4 ** (depth_l - 1)
+    pts = np.zeros((5, 2 * m))      # rows: row, c, g, and the two summed points
+    pts[0] = np.arange(2 * m) // 2
+    pts[1:3, 1::2] = own[:, off[-2]:]
+    pts[3, ::2] = -1
+    start = np.arange(0, 2 * m + 1, 2)
+    levels, work = [pts[[0, 3, 4]].astype(np.intp)], 0
+    for h in range(2 * depth_l - 3, 0, -1):
+        # a row covers one depth-d node (node levels) or two siblings
+        d, node = (h + 1) // 2, 1 - h % 2
+        first = off[d] - 1 if node else 4 * n + (off[d] - 1) // 2
+        thr = bounds[:, first:first + 2 ** h]
+        a0, a1 = start[:-1:2], start[1::2]
+        pb = start[2::2] - a1
+        step = np.maximum(pb, 1)
+        cum = np.zeros(2 ** h + 1, dtype=np.intp)
+        np.cumsum((a1 - a0) * pb + node, out=cum[1:])
+        base, own_l = cum[:-1] + node, own[:, off[d]:off[d] + 2 ** h]
+        vals = np.zeros((2, pts.shape[1] + 1))    # the empty point reads the pad
+        vals[:, :-1] = pts[1:3]
+        parts, carry = [], np.zeros((5, 0))
+        for lo in range(0, int(cum[-1]), _BLOCK):
+            hi = min(lo + _BLOCK, int(cum[-1]))
+            if work + hi - lo > node_limit:
+                raise ResourceLimitExceeded(f"node limit of {node_limit} list points reached; "
+                                            "raise node_limit to continue the exact solve")
+            work += hi - lo
+            p = np.arange(lo, hi)
+            r = np.searchsorted(cum, p, side="right") - 1
+            i, j = np.divmod(p - base[r], step[r])
+            empty = i < 0
+            i += a0[r]
+            j += a1[r]
+            new = np.empty((5, hi - lo))
+            new[0], new[3], new[4] = r, i, j
+            val = np.add(vals[:, i], vals[:, j], out=new[1:3])
+            if node:
+                val += own_l[:, r]
+                val[:, empty] = 0.0
+                new[3, empty] = -1
+            lhs = coef_c * val[0]
+            lhs -= coef_g * val[1]
+            lhs[2:, empty] = -np.inf    # the empty point skips the Lagrangian bounds
+            new = np.concatenate((carry, new[:, (lhs <= thr[:, r]).all(axis=0)]), axis=1)
+            new = new[:, _frontier(new)]
+            # the last row's points wait for the next block when the row goes on
+            cut = np.searchsorted(new[0], r[-1]) if cum[r[-1] + 1] > hi else new.shape[1]
+            parts.append(new[:, :cut])
+            carry = new[:, cut:]
+        pts = np.concatenate(parts + [carry], axis=1)
+        start = np.searchsorted(pts[0], np.arange(2 ** h + 1))
+        levels.append(pts[[0, 3, 4]].astype(np.intp))
+    s = start[1]
+    pick = _root_pick(c[0], g[0], pts[1, :s], pts[2, :s], pts[1, s:], pts[2, s:], need)
+    if pick is None:
+        return seed_z, work
+    z = np.zeros(n, dtype=np.uint8)
+    if pick:
+        z[0] = 1
+        at = np.array([pick[0], s + pick[1]])
+        for h, (row, wi, wj) in enumerate(reversed(levels), 1):
+            at = at[wi[at] >= 0]
+            if h % 2 == 0:
+                z[off[h // 2] + row[at]] = 1
+            at = np.concatenate((wi[at], wj[at]))
+    return z, work
 
 
 _NEG = -1e300
@@ -546,16 +530,7 @@ class _LatticeDP:
         i, u = _rises(m12)
         j, w = _rises(m34)
         last = j.size - 1
-
-        def reaches(r):     # the root table's own float sums
-            return self.b[0] + (u + w[np.minimum(r, last)]) >= value
-
-        # a float guess of each i's first rise of L[1][1], then exact steps to it
-        r = np.searchsorted(w, value - self.b[0] - u)
-        while np.any(step := (r <= last) & ~reaches(r)):
-            r += step
-        while np.any(step := (r > 0) & reaches(r - 1)):
-            r -= step
+        r = _first_partner(self.b[0], u, w, value)
         # an i whose first reaching partner lies past the cap has none below it
         k = (i + j[np.minimum(r, last)])[r <= last]
         k = k[k <= j_cap]
@@ -595,6 +570,23 @@ class _LatticeDP:
             m = (4 * m[:, None] + np.arange(4)).ravel()[keep]
             k = kids[keep]
         return z
+
+
+def _first_partner(base, u, w, value) -> np.ndarray:
+    """Per entry of u, the first index r of the ascending w at which
+    base + (u + w[r]) >= value, w.size where none does: a searchsorted guess,
+    then exact steps on those float sums."""
+    last = w.size - 1
+
+    def reaches(r):
+        return base + (u + w[np.minimum(r, last)]) >= value
+
+    r = np.searchsorted(w, value - base - u)
+    while np.any(step := (r <= last) & ~reaches(r)):
+        r += step
+    while np.any(step := (r > 0) & reaches(r - 1)):
+        r -= step
+    return r
 
 
 def _rises(v: np.ndarray):
@@ -676,8 +668,7 @@ def solve_min_rate(inc: IncrementVectors, d_hat: float,
     relevance; otherwise the objective is exact up to the feasibility
     tolerance.
     """
-    if not d_hat >= 0:
-        raise ValueError(f"negative d_hat: {d_hat}")
+    _check_bound("d_hat", d_hat)
     t0 = time.perf_counter()
     a, b = inc.delta_x, inc.delta_y
     depth_l = depth_from_candidate_count(a.size)
@@ -706,8 +697,7 @@ def solve_max_relevance(inc: IncrementVectors, budget_d: float,
 
     Always feasible: the root tree costs nothing.
     """
-    if not budget_d >= 0:
-        raise ValueError(f"negative budget: {budget_d}")
+    _check_bound("budget", budget_d)
     t0 = time.perf_counter()
     a, b = inc.delta_x, inc.delta_y
     depth_l = depth_from_candidate_count(a.size)
@@ -781,7 +771,8 @@ def enumerate_valid_selections(depth_l: int):
 
 
 def brute_force_solve(inc: IncrementVectors, problem: str, bound: float) -> SolveResult:
-    """Exhaustive-scan oracle, ties broken exactly like the search solvers.
+    """Exhaustive-scan oracle.  It breaks ties within 1e-9 as the solvers do
+    and takes the lexicographically smallest of the trees tied on both values.
 
     problem is "min-rate" or "max-relevance"; bound is the matching d_hat or
     budget.
@@ -794,8 +785,7 @@ def brute_force_solve(inc: IncrementVectors, problem: str, bound: float) -> Solv
     ix = Z @ inc.delta_x
     iy = Z @ inc.delta_y
     if problem == "min-rate":
-        if not bound >= 0:
-            raise ValueError(f"negative d_hat: {bound}")
+        _check_bound("d_hat", bound)
         feasible = iy >= bound - TOL
         if not feasible.any():
             return _infeasible_result(inc, t0)
@@ -805,8 +795,7 @@ def brute_force_solve(inc: IncrementVectors, problem: str, bound: float) -> Solv
         best_iy = iy[candidates].max()
         candidates = candidates[iy[candidates] >= best_iy - TOL]
     elif problem == "max-relevance":
-        if not bound >= 0:
-            raise ValueError(f"negative budget: {bound}")
+        _check_bound("budget", bound)
         feasible = ix <= bound + TOL
         candidates = np.flatnonzero(feasible)
         best_obj = iy[candidates].max()

@@ -135,34 +135,45 @@ def reference_pack_lp_objective(inc, budget):
                           np.zeros(inc.num_candidates))
 
 
-def reference_knapsack_ratio_cover(a, b, need):
-    """Critical price of the fractional covering knapsack min a.u s.t.
-    b.u >= need.  A reference for the covering-form _knapsack_ratio."""
-    if need <= 0:
-        return 0.0
-    sel = b > 0
-    if not np.any(sel):
-        return 0.0
-    ratio = a[sel] / b[sel]
-    order = np.argsort(ratio, kind="stable")
-    cover = np.cumsum(b[sel][order])
-    idx = min(int(np.searchsorted(cover, need)), order.size - 1)
-    return float(ratio[order[idx]])
+def reference_pareto_values(inc):
+    """All (rate, relevance) pairs of valid trees that no other tree
+    dominates, as two arrays with rate ascending: a plain list DP with no
+    bound prunes.  Each node's list is the empty tree plus the node joined
+    with every combination of its children's lists, merged pairwise and
+    cut back to the points no other point dominates."""
+    from infoquad.quadtree import depth_from_candidate_count
+
+    a, b = inc.delta_x, inc.delta_y
+    n = a.size
+    depth_l = depth_from_candidate_count(n)
+
+    def frontier(x, y):
+        order = np.lexsort((-y, x))
+        x, y = x[order], y[order]
+        keep = np.ones(x.size, dtype=bool)
+        keep[1:] = y[1:] > np.maximum.accumulate(y)[:-1]
+        return x[keep], y[keep]
+
+    def node_list(t):
+        x, y = np.zeros(1), np.zeros(1)
+        if 4 * t + 1 < n:
+            for kid in range(4 * t + 1, 4 * t + 5):
+                kx, ky = node_list(kid)
+                x, y = frontier((x[:, None] + kx).ravel(), (y[:, None] + ky).ravel())
+        return frontier(np.r_[0.0, a[t] + x], np.r_[0.0, b[t] + y])
+
+    return node_list(0) if depth_l else (np.zeros(1), np.zeros(1))
 
 
-def reference_knapsack_ratio_pack(a, b, cap):
-    """Critical price of the fractional packing knapsack max b.u s.t.
-    a.u <= cap.  A reference for _knapsack_ratio(-b, -a, -cap)."""
-    sel = a > 0
-    if not np.any(sel):
-        return 0.0
-    ratio = b[sel] / a[sel]
-    order = np.argsort(-ratio, kind="stable")
-    usage = np.cumsum(a[sel][order])
-    idx = int(np.searchsorted(usage, cap, side="right"))
-    if idx >= order.size:
-        return 0.0
-    return float(ratio[order[idx]])
+def reference_list_objective(values, problem, bound):
+    """Optimal objective of min-rate (bound d_hat) or max-relevance (bound a
+    budget) read off reference_pareto_values, with the solvers' 1e-9
+    tolerance; None when the floor cannot be met."""
+    x, y = values
+    if problem == "min-rate":
+        ok = y >= bound - iq.TOL
+        return float(x[ok].min()) if ok.any() else None
+    return float(y[x <= bound + iq.TOL].max())
 
 
 def _reference_chain(idx, selected):

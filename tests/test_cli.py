@@ -114,7 +114,7 @@ def test_abstract_bad_pgm_exits_two(tmp_path, capsys):
 ], ids=["abstract", "pareto", "infoplane"])
 def test_node_limit_exits_one_with_one_error_line(tmp_path, capsys, command):
     # a 16x16 i.i.d. gray map with a log-normal prior needs more than 50
-    # search nodes at these floors
+    # list points at these floors
     rng = np.random.default_rng(5)
     side = 16
     pgm, prior = tmp_path / "map.pgm", tmp_path / "prior.txt"
@@ -126,7 +126,7 @@ def test_node_limit_exits_one_with_one_error_line(tmp_path, capsys, command):
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: node-exploration limit of 50 reached")
+    assert err[0].startswith("error: node limit of 50 list points reached")
     # infoplane solves its first floor before the limit hits; no partial CSV
     # may be left at --out
     assert list(tmp_path.glob("*.csv")) == []
@@ -491,11 +491,13 @@ def test_infinite_fraction_on_a_zero_information_map(flat_pgm, tmp_path, capsys)
     assert main(["abstract", "--input", str(flat_pgm), "--mode", "min-rate",
                  "--dhat-frac", "inf"]) == 1
     assert capsys.readouterr().err.splitlines() == ["D̂ exceeds I(X;Y)"]
-    for name, mode in (("budget", "max-relevance"), ("dhat", "min-rate")):
+    for name, label, mode in (("budget", "budget", "max-relevance"),
+                              ("dhat", "d_hat", "min-rate")):
         for frac in ("nan", "-inf", "-0.5"):
             assert main(["abstract", "--input", str(flat_pgm), "--mode", mode,
                          f"--{name}-frac={frac}"]) == 2
-            assert capsys.readouterr().err.startswith("error: negative")
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {label} must be a non-negative number, got {frac}"]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -8,10 +8,10 @@ import pytest
 import infoquad as iq
 from infoquad import solver
 from infoquad.quadtree import depth_offset
-from infoquad.solver import TOL, _knapsack_ratio, _ladder, _lattice_for, _parametric_dual, _seed
-from helpers import (blob_world, quadrant_world, random_world, reference_knapsack_ratio_cover,
-                     reference_knapsack_ratio_pack, reference_pack_lp_objective,
-                     reference_reconstruct, reference_seed_cover, reference_seed_pack)
+from infoquad.solver import TOL, _lattice_for, _parametric_dual, _seed
+from helpers import (blob_world, quadrant_world, random_world, reference_list_objective,
+                     reference_pack_lp_objective, reference_pareto_values, reference_reconstruct,
+                     reference_seed_cover, reference_seed_pack)
 
 LN2 = 0.6931471805599453
 QUAD_I_XY = 0.37677016125643675
@@ -114,27 +114,6 @@ def test_brute_force_caps_depth():
     assert iq.brute_force_solve(inc, "min-rate", 0.0).selection.num_selected == 0
     with pytest.raises(ValueError, match="unknown problem"):
         iq.brute_force_solve(inc, "nonsense", 0.0)
-
-
-def test_knapsack_ratio_matches_the_cover_and_pack_references():
-    """The covering-form ratio equals both direct forms exactly, with zero
-    entries, ratios tied after rounding, and bounds at, between and above the
-    greedy's partial sums."""
-    rng = np.random.default_rng(28)
-    for trial in range(2000):
-        n = int(rng.integers(1, 10))
-        a, b = rng.random(n), rng.random(n)
-        if trial % 2:  # few distinct values: tied and rounding-tied ratios
-            a, b = rng.integers(0, 4, n) * 0.1, rng.integers(0, 4, n) * 0.3
-        a[rng.random(n) < 0.2] = 0.0
-        b[rng.random(n) < 0.2] = 0.0
-        needs = [0.0, *(f * b.sum() for f in (0.3, 0.7, 1.0, 1.5)), b.sum() + 1e-12,
-                 float(b[rng.random(n) < 0.5].sum())]
-        caps = [0.0, *(f * a.sum() for f in (0.3, 0.7, 1.0, 1.5)), a.sum() - 1e-12,
-                float(a[rng.random(n) < 0.5].sum())]
-        for need, cap in zip(needs, caps):
-            assert _knapsack_ratio(a, b, need) == reference_knapsack_ratio_cover(a, b, need)
-            assert _knapsack_ratio(-b, -a, -cap) == reference_knapsack_ratio_pack(a, b, cap)
 
 
 def test_solver_matches_oracle_on_random_worlds():
@@ -473,45 +452,112 @@ def test_search_skips_zero_mass_subtrees():
 
 
 def test_search_effort_does_not_grow():
-    """Summed search nodes over fixed depth-4 weighted worlds at the
-    benchmark's floor and budget fractions; the bounds are the sums the
-    covering search with one greedy seed explored when this test was made."""
+    """Summed list points over fixed depth-4 weighted worlds at the
+    benchmark's floor and budget fractions; the bounds are the sums the list
+    engine generated when this test was made."""
     rng = np.random.default_rng(41)
-    min_rate_nodes = max_relevance_nodes = 0
+    min_rate_work = max_relevance_work = 0
     for k in range(24):
         world = blob_world(rng, 4, zero_weight=k % 4 == 3)
         inc = iq.compute_increments(world)
         assert _lattice_for(inc) is None
         info = iq.mutual_info_xy(world)
-        min_rate_nodes += iq.solve_min_rate(
+        min_rate_work += iq.solve_min_rate(
             inc, (0.6, 0.7, 0.75, 0.8, 0.85)[k % 5] * info).nodes_explored
-        max_relevance_nodes += iq.solve_max_relevance(
+        max_relevance_work += iq.solve_max_relevance(
             inc, (5.0, 7.5, 10.0, 30.0, 60.0)[k % 5] * info).nodes_explored
-    assert min_rate_nodes <= 15_532
-    assert max_relevance_nodes <= 13_602
+    assert min_rate_work <= 87_194
+    assert max_relevance_work <= 11_317
 
 
-def test_certified_seed_builds_no_ladder(monkeypatch):
-    """A solve whose seed the dual optimum certifies builds no ladder; a
-    solve that searches builds exactly one, on the worlds and fractions of
-    test_search_effort_does_not_grow."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _ladder(*args)
-
-    monkeypatch.setattr(solver, "_ladder", counted)
+def test_certified_seed_merges_no_lists():
+    """A solve whose seed the dual optimum certifies merges no lists and
+    reports no work; every other solve reports the points it merged, on the
+    worlds and fractions of test_search_effort_does_not_grow."""
     rng = np.random.default_rng(41)
     certified = 0
     for k in range(24):
         world = blob_world(rng, 4, zero_weight=k % 4 == 3)
         inc = iq.compute_increments(world)
+        a, b = inc.delta_x, inc.delta_y
         info = iq.mutual_info_xy(world)
-        for solve, frac in ((iq.solve_min_rate, (0.6, 0.7, 0.75, 0.8, 0.85)[k % 5]),
-                            (iq.solve_max_relevance, (5.0, 7.5, 10.0, 30.0, 60.0)[k % 5])):
-            calls.clear()
-            nodes = solve(inc, frac * info).nodes_explored
-            assert len(calls) == (nodes > 0)
-            certified += nodes == 0
-    assert certified > 0
+        d_hat = (0.6, 0.7, 0.75, 0.8, 0.85)[k % 5] * info
+        budget = (5.0, 7.5, 10.0, 30.0, 60.0)[k % 5] * info
+        for work, (c, g, need) in ((iq.solve_min_rate(inc, d_hat).nodes_explored,
+                                    (a, b, d_hat - TOL)),
+                                   (iq.solve_max_relevance(inc, budget).nodes_explored,
+                                    (-b, -a, -(budget + TOL)))):
+            seed_cost = float(c @ _seed(c, g, need))
+            is_certified = seed_cost <= _parametric_dual(c, g, need, 4)[1] + TOL
+            assert (work == 0) == is_certified
+            certified += is_certified
+    assert 0 < certified < 48
+
+
+@pytest.mark.parametrize("kind", ["iid", "blob", "zero-weight", "zero-quadrant"])
+def test_lists_match_an_unpruned_list_dp(kind):
+    """The pruned lists' optimum equals a plain list DP's on depth-4 weighted
+    worlds at the benchmark's floor and budget fractions, beyond the reach
+    of the brute-force oracle."""
+    rng = np.random.default_rng(("iid", "blob", "zero-weight", "zero-quadrant").index(kind) + 60)
+    for _ in range(3):
+        if kind == "iid":
+            world = random_world(rng, 4, uniform_prior=False)
+        else:
+            world = blob_world(rng, 4, zero_weight=kind == "zero-weight",
+                               zero_quadrant=kind == "zero-quadrant")
+        inc = iq.compute_increments(world)
+        assert _lattice_for(inc) is None
+        values = reference_pareto_values(inc)
+        info = iq.mutual_info_xy(world)
+        for frac in (0.6, 0.7, 0.75, 0.8, 0.85):
+            d_hat = frac * info
+            result = iq.solve_min_rate(inc, d_hat)
+            assert result.i_y >= d_hat - TOL
+            assert result.objective == pytest.approx(
+                reference_list_objective(values, "min-rate", d_hat), abs=1e-9)
+        for frac in (5.0, 7.5, 10.0, 30.0, 60.0):
+            budget = frac * info
+            result = iq.solve_max_relevance(inc, budget)
+            assert result.i_x <= budget + TOL
+            assert result.objective == pytest.approx(
+                reference_list_objective(values, "max-relevance", budget), abs=1e-9)
+
+
+def _iid_weighted_32x32():
+    """A 32x32 map of i.i.d. gray levels with log-normal cell weights."""
+    rng = np.random.default_rng(95)
+    grid = rng.integers(0, 256, (32, 32)) / 255
+    return iq.world_from_grid(grid, np.exp(rng.normal(0.0, 0.5, (32, 32))))
+
+
+def test_weighted_32x32_solves_exactly():
+    world = _iid_weighted_32x32()
+    inc = iq.compute_increments(world)
+    assert _lattice_for(inc) is None
+    d_hat = 0.8 * iq.mutual_info_xy(world)
+    result = iq.solve_min_rate(inc, d_hat)
+    assert result.status == "optimal" and result.nodes_explored > 0
+    assert result.i_y >= d_hat - TOL
+    assert result.objective >= iq.solve_lp_relaxation(inc, d_hat)[1] - TOL
+
+
+def test_node_limit_fails_before_a_block_passes_it(monkeypatch):
+    """A 32x32 solve whose lists outgrow a small node_limit raises before it
+    allocates the block that would pass the limit."""
+    blocks = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape, *args, **kwargs):
+            blocks.append(shape[1])
+            return np.empty(shape, *args, **kwargs)
+
+    world = _iid_weighted_32x32()
+    inc = iq.compute_increments(world)
+    monkeypatch.setattr(solver, "np", Spy())
+    with pytest.raises(iq.ResourceLimitExceeded):
+        iq.solve_min_rate(inc, 0.8 * iq.mutual_info_xy(world), node_limit=3000)
+    assert blocks and sum(blocks) <= 3000
