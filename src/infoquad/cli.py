@@ -206,7 +206,7 @@ def _positive_int(text: str) -> int:
 def _add_node_limit(parser):
     parser.add_argument(
         "--node-limit", type=_positive_int, default=DEFAULT_NODE_LIMIT,
-        help="list points an exact weighted solve may merge before it fails",
+        help="list points an exact weighted solve or Pareto trace may merge before it fails",
     )
 
 

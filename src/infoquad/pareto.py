@@ -8,19 +8,19 @@ relevance.  Sweeping the floor adaptively (next query = last achieved
 relevance plus a small step) visits every achievable relevance level without
 a grid.
 
-Uniform priors read the whole frontier off the rate-class lattice: the root
-table holds the maximal relevance of every integer rate class, so the classes
-a floor can select are the strict prefix records of that one array.  All
-records are reconstructed in batched level-by-level passes and the floor sweep
-replays over them, with no solve per point.  Weighted priors run the sweep
-with one min-rate solve per point.
+The sweep makes no solve per point: it replays over the frontier's records,
+cost ascending and relevance strictly rising, which are the strict prefix
+records of the rate-class lattice's root table (the maximal relevance of
+every integer rate class) with a uniform prior, and the root list of one
+unpruned Pareto-list merge with a weighted one.  Records are reconstructed
+in batched level-by-level passes.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +32,7 @@ from .solver import (
     TOL,
     _check_bound,
     _lattice_for,
-    _LatticeDP,
+    _list_records,
     solve_min_rate,
 )
 
@@ -108,10 +108,11 @@ def trace_pareto(inc: IncrementVectors, eps_step: float = DEFAULT_EPS_STEP,
     so every level distinguishable at eps_step resolution is visited; the value
     set is finite and the loop provably terminates.
 
-    With a uniform prior the points come from the rate-class lattice and
-    node_limit is unused; stage1_ms is then the point's record lookup and
-    information sums, and stage2_ms the batched reconstruction its lookup
-    started (0 when an earlier batch already held its tree).
+    The points are replayed over records: the lattice root's with a uniform
+    prior, the root list of one unpruned merge, which node_limit bounds, with
+    a weighted one.  stage1_ms is a point's record lookup and information
+    sums, and stage2_ms the batched reconstruction its lookup started (0 when
+    an earlier batch already held its tree).
     """
     if not eps_step > TOL:
         raise ValueError(
@@ -119,10 +120,14 @@ def trace_pareto(inc: IncrementVectors, eps_step: float = DEFAULT_EPS_STEP,
         )
     lattice = _lattice_for(inc)
     if lattice is None:
-        def point_at(query):
-            return pareto_point(inc, query, node_limit=node_limit)
+        point_at = _record_points(inc, *_list_records(inc, node_limit))
     else:
-        point_at = _lattice_points(inc, lattice)
+        # the root table's strict prefix records hold the first class meeting
+        # any floor, and the argmax fallback that solve_min_rate takes
+        root = lattice.root
+        classes = np.flatnonzero(root > np.maximum.accumulate(np.r_[-np.inf, root[:-1]]))
+        point_at = _record_points(inc, classes, root[classes], lambda r: lattice.reconstruct_many(
+            classes[r:r + lattice.batch_rows]))
     total = float(inc.delta_y.sum())
     points: list[ParetoPoint] = []
     query = 0.0
@@ -137,30 +142,26 @@ def trace_pareto(inc: IncrementVectors, eps_step: float = DEFAULT_EPS_STEP,
     return points
 
 
-def _lattice_points(inc: IncrementVectors, lattice: _LatticeDP):
-    """The per-floor point of trace_pareto, answered from the lattice root.
-
-    The first class whose relevance meets a floor is always a strict prefix
-    record of the root table (a class not above every cheaper one is beaten
-    to the floor by one of them), and so is the argmax fallback that
-    solve_min_rate takes.  Each point is that record's tree; records are
-    reconstructed in batches starting at the first one a floor asks for.
+def _record_points(inc: IncrementVectors, costs, values, reconstruct):
+    """The per-floor point of trace_pareto over the frontier's records, costs
+    ascending and values strictly rising from the empty tree: the first
+    record meeting the floor within TOL (else the last), then, as
+    solve_min_rate breaks rate ties, the last within TOL of its cost; a floor
+    within TOL of 0 takes the empty tree.  reconstruct(r) gives the trees of
+    a batch of records from record r, the first one a floor asks for, on.
     """
-    root = lattice.root
-    is_record = np.ones(root.size, dtype=bool)
-    is_record[1:] = root[1:] > np.maximum.accumulate(root)[:-1]
-    classes = np.flatnonzero(is_record)
-    values = root[classes].tolist()
+    costs, values = costs.tolist(), values.tolist()
     first, trees = 0, np.zeros((0, inc.num_candidates), dtype=np.uint8)
 
     def point_at(query: float) -> ParetoPoint:
         nonlocal first, trees
         t0 = time.perf_counter()
-        r = min(bisect_left(values, query - TOL), classes.size - 1)
+        r = min(bisect_left(values, query - TOL), len(values) - 1)
+        if query - TOL > 0:
+            r = bisect_right(costs, costs[r] + TOL) - 1
         t1 = time.perf_counter()
         if not first <= r < first + len(trees):
-            first = r
-            trees = lattice.reconstruct_many(classes[r:r + lattice.batch_rows])
+            first, trees = r, reconstruct(r)
         t2 = time.perf_counter()
         selection = TreeSelection(trees[r - first].copy())
         i_x, i_y = tree_information(selection, inc)

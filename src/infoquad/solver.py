@@ -27,7 +27,9 @@ exact engine: Pareto lists of (c, g) points (Nemhauser & Ullmann, Mgmt.
 Sci. 1969) merged bottom-up over the lattice's half-level layout, as in the
 tree-knapsack DP of Johnson & Niemi (Math. OR 1983), where a point stays
 only while trees through it can still meet the row within that cost.  The
-root is a query on its two pair lists.
+root is a query on its two pair lists.  The Pareto trace runs the same merges
+once without a prune and through the root's own node level, whose list is
+then the whole frontier.
 
 Feasibility tolerance is 1e-9 everywhere.  A solve takes the least c . z
 and, among trees within 1e-9 of it, the largest g . z: smaller rate before
@@ -275,15 +277,11 @@ def _solve_covering(c, g, need, node_limit, depth_l):
     exact, or when no other tree comes within TOL of its cost; otherwise the
     Pareto lists' optimum.
 
-    Each row of the half-level layout lists its points, c ascending and g
-    strictly rising, each with the two points below that it sums (-1 for the
-    empty point).  A point survives while g plus the most the rest adds
-    reaches need, c plus the least the rest adds stays within the seed's
-    cost + TOL, and, but for the empty point, c - lam g plus out_lam(row)
-    stays within that cost less lam * need for each multiplier lam, where
-    out_lam(row) is the least c - lam g a tree holding the row adds outside
-    it.  work counts the points the merges make, checked against node_limit
-    before each block.
+    A list point survives while g plus the most the rest adds reaches need,
+    c plus the least the rest adds stays within the seed's cost + TOL, and,
+    but for the empty point, c - lam g plus out_lam(row) stays within that
+    cost less lam * need for each multiplier lam, where out_lam(row) is the
+    least c - lam g a tree holding the row adds outside it.
     """
     seed_z = _seed(c, g, need)
     lam_star, bound, _, _ = _parametric_dual(c, g, need, depth_l)
@@ -314,6 +312,35 @@ def _solve_covering(c, g, need, node_limit, depth_l):
     bounds = np.vstack(((ins[0] - inside[0, 0]) - need, cap - (inside[1, 0] - ins[1]),
                         (cap - lam * need)[:, None] - (held - ins[2:])))
     coef_c, coef_g = np.array([[0.0, 1.0, *np.ones(lam.size)], [1.0, 0.0, *lam]])[:, :, None]
+
+    def keep(h, r, val, empty):
+        d = (h + 1) // 2
+        first = 4 * n + (off[d] - 1) // 2 if h % 2 else off[d] - 1
+        lhs = coef_c * val[0]
+        lhs -= coef_g * val[1]
+        lhs[2:, empty] = -np.inf    # the empty point skips the Lagrangian bounds
+        return (lhs <= bounds[:, first + r]).all(axis=0)
+
+    pts, levels, work = _merge_lists(c, g, depth_l, node_limit, keep)
+    s = int(np.searchsorted(pts[0], 1))
+    pick = _root_pick(c[0], g[0], pts[1, :s], pts[2, :s], pts[1, s:], pts[2, s:], need)
+    if pick is None:
+        return seed_z, work
+    # the root's own level holds the one picked point: the root plus the pair
+    root = np.array([[0], [pick[0]], [s + pick[1]]] if pick else [[0], [-1], [-1]])
+    return _walk(levels + [root], np.zeros(1, dtype=np.intp), depth_l)[0], work
+
+
+def _merge_lists(c, g, depth_l, node_limit, keep=None):
+    """(pts, levels, work) of the Pareto lists merged up the half-level
+    layout: each row's points (c, g), c ascending and g strictly rising but
+    in the deepest rows, each with the two points below it sums (-1 for the
+    empty point).  With keep(h, r, val, empty), the mask of half-level h's
+    points a solve keeps, the merges stop at the root's pair level, else at
+    its node level.  pts holds the top level's (row, c, g, summed points),
+    levels each level's (row, summed points), deepest first; work counts the
+    points made, checked against node_limit before each block."""
+    off = _offsets(depth_l)
     own = np.stack((c, g))
     # the deepest candidates' rows, unpruned: the empty point, then the node
     m = 4 ** (depth_l - 1)
@@ -323,11 +350,9 @@ def _solve_covering(c, g, need, node_limit, depth_l):
     pts[3, ::2] = -1
     start = np.arange(0, 2 * m + 1, 2)
     levels, work = [pts[[0, 3, 4]].astype(np.intp)], 0
-    for h in range(2 * depth_l - 3, 0, -1):
+    for h in range(2 * depth_l - 3, -1 if keep is None else 0, -1):
         # a row covers one depth-d node (node levels) or two siblings
         d, node = (h + 1) // 2, 1 - h % 2
-        first = off[d] - 1 if node else 4 * n + (off[d] - 1) // 2
-        thr = bounds[:, first:first + 2 ** h]
         a0, a1 = start[:-1:2], start[1::2]
         pb = start[2::2] - a1
         step = np.maximum(pb, 1)
@@ -356,32 +381,49 @@ def _solve_covering(c, g, need, node_limit, depth_l):
                 val += own_l[:, r]
                 val[:, empty] = 0.0
                 new[3, empty] = -1
-            lhs = coef_c * val[0]
-            lhs -= coef_g * val[1]
-            lhs[2:, empty] = -np.inf    # the empty point skips the Lagrangian bounds
-            new = np.concatenate((carry, new[:, (lhs <= thr[:, r]).all(axis=0)]), axis=1)
+            if keep is not None:
+                new = new[:, keep(h, r, val, empty)]
+            new = np.concatenate((carry, new), axis=1)
             new = new[:, _frontier(new)]
             # the last row's points wait for the next block when the row goes on
             cut = np.searchsorted(new[0], r[-1]) if cum[r[-1] + 1] > hi else new.shape[1]
-            parts.append(new[:, :cut])
+            if cut:     # a copy: a view would keep the whole block alive
+                parts.append(new[:, :cut].copy())
             carry = new[:, cut:]
         pts = np.concatenate(parts + [carry], axis=1)
         start = np.searchsorted(pts[0], np.arange(2 ** h + 1))
         levels.append(pts[[0, 3, 4]].astype(np.intp))
-    s = start[1]
-    pick = _root_pick(c[0], g[0], pts[1, :s], pts[2, :s], pts[1, s:], pts[2, s:], need)
-    if pick is None:
-        return seed_z, work
-    z = np.zeros(n, dtype=np.uint8)
-    if pick:
-        z[0] = 1
-        at = np.array([pick[0], s + pick[1]])
-        for h, (row, wi, wj) in enumerate(reversed(levels), 1):
-            at = at[wi[at] >= 0]
-            if h % 2 == 0:
-                z[off[h // 2] + row[at]] = 1
-            at = np.concatenate((wi[at], wj[at]))
-    return z, work
+    return pts, levels, work
+
+
+def _walk(levels, at, depth_l) -> np.ndarray:
+    """The trees of the points at of the root's node level (the last of
+    levels) as uint8 rows.  Each point sums two points of the level below; a
+    node point other than the empty one selects its node, and a pair point
+    is never empty."""
+    off = _offsets(depth_l)
+    z = np.zeros((at.size, num_candidates(depth_l)), dtype=np.uint8)
+    tree = np.arange(at.size)
+    for h, (row, wi, wj) in enumerate(reversed(levels)):
+        if h % 2 == 0:
+            held = wi[at] >= 0
+            at, tree = at[held], tree[held]
+            z[tree, off[h // 2] + row[at]] = 1
+        at, tree = np.concatenate((wi[at], wj[at])), np.concatenate((tree, tree))
+    return z
+
+
+def _list_records(inc: IncrementVectors, node_limit: int):
+    """(costs, values, reconstruct) of the frontier of rate against
+    relevance: the root list of one unpruned merge, the empty tree first;
+    reconstruct(r) gives the trees of a batch of records from record r on."""
+    depth_l = depth_from_candidate_count(inc.num_candidates)
+    if depth_l == 0:
+        return np.zeros(1), np.zeros(1), lambda r: np.zeros((1, 0), dtype=np.uint8)
+    pts, levels, _ = _merge_lists(inc.delta_x, inc.delta_y, depth_l, node_limit)
+    rec = _frontier(pts)    # a depth-1 root list is not filtered by a merge
+    batch = max(1, _BATCH_ELEMENTS // inc.num_candidates)
+    return pts[1, rec], pts[2, rec], lambda r: _walk(levels, rec[r:r + batch], depth_l)
 
 
 _NEG = -1e300

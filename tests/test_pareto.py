@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import infoquad as iq
-from infoquad import pareto
+from infoquad import pareto, solver
 from infoquad.solver import _lattice_for
-from helpers import quadrant_world, random_world, reference_reconstruct
+from helpers import blob_world, quadrant_world, random_world, reference_reconstruct
 
 QUAD_I_XY = 0.37677016125643675
 QUAD_RATE = 1.7328679513998633
@@ -191,12 +191,43 @@ def point_by_point_trace(inc, eps_step):
     return points
 
 
-@pytest.mark.parametrize("depth_l, seed", [(4, 0), (4, 1), (5, 2)])
+def trace_world(kind, depth_l, seed):
+    """A uniform world (binary at seed 1) or a weighted one of the given kind.
+    "one-quadrant" puts the whole prior on the first quadrant, so the root is
+    free, and "near-free" all but 1e-13 per cell, so the root's rate is
+    within the 1e-9 tolerance of 0 but not 0."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return random_world(rng, depth_l, binary=seed == 1)
+    if kind in ("one-quadrant", "near-free"):
+        prior = np.full(4 ** depth_l, 0.0 if kind == "one-quadrant" else 1e-13)
+        prior[:prior.size // 4] = rng.random(prior.size // 4)
+        p1 = rng.random(prior.size)
+        return iq.world_from_cells(depth_l, np.column_stack([1.0 - p1, p1]), prior / prior.sum())
+    if kind in ("blob", "zero-quadrant"):
+        return blob_world(rng, depth_l, zero_quadrant=kind == "zero-quadrant")
+    return random_world(rng, depth_l, binary=kind == "binary", uniform_prior=False,
+                        zero_prior=kind == "zero-weight")
+
+
+@pytest.mark.parametrize("kind, depth_l, seed", [
+    pytest.param("uniform", 4, 0, id="4-0"),
+    pytest.param("uniform", 4, 1, id="4-1"),
+    pytest.param("uniform", 5, 2, id="5-2"),
+    ("iid", 0, 3), ("one-quadrant", 1, 4), ("iid", 1, 5), ("near-free", 2, 11), ("iid", 3, 6),
+    ("binary", 3, 7), ("zero-weight", 3, 8), ("blob", 3, 9), ("zero-quadrant", 3, 10),
+])
 @pytest.mark.parametrize("eps_step", [iq.pareto.DEFAULT_EPS_STEP, 0.002])
-def test_lattice_trace_equals_two_stage_trace(depth_l, seed, eps_step):
-    world = random_world(np.random.default_rng(seed), depth_l, binary=seed == 1)
-    inc = iq.compute_increments(world)
-    assert _lattice_for(inc) is not None
+def test_lattice_trace_equals_two_stage_trace(kind, depth_l, seed, eps_step):
+    """The record replay, off the lattice root or the unpruned root list,
+    equals the sweep of one min-rate solve per point in every value and tree,
+    also on a world without candidates, on a depth-1 world whose lone
+    candidate is free (its root list holds two tied points), and on one where
+    a floor of 0 must take the empty tree over a root of rate below 1e-9."""
+    inc = iq.compute_increments(trace_world(kind, depth_l, seed))
+    # a lone candidate of positive rate is depth-uniform: the lattice answers
+    on_lattice = kind == "uniform" or (kind == "iid" and depth_l == 1)
+    assert (_lattice_for(inc) is not None) == on_lattice
     got = iq.trace_pareto(inc, eps_step=eps_step)
     want = point_by_point_trace(inc, eps_step)
     assert len(got) == len(want)
@@ -219,9 +250,9 @@ def test_batched_reconstruction_matches_node_by_node(depth_l, binary):
         assert np.array_equal(row, lattice.reconstruct_many([k])[0])
 
 
-def test_weighted_trace_uses_the_solvers_and_matches_oracle(monkeypatch):
-    """One min-rate solve per traced point (plus at most one that the
-    floating-point guard discards), and the oracle's value pairs, on weighted
+def test_trace_makes_no_solve_and_matches_oracle(monkeypatch):
+    """trace_pareto reads every point off its records, with no min-rate
+    solve for either prior, and finds the oracle's value pairs on weighted
     i.i.d., binary (many tied rates) and zero-weight worlds."""
     calls = []
 
@@ -229,24 +260,30 @@ def test_weighted_trace_uses_the_solvers_and_matches_oracle(monkeypatch):
         calls.append(args)
         return solve_min_rate(*args, **kwargs)
 
-    solve_min_rate = pareto.solve_min_rate
-    monkeypatch.setattr(pareto, "solve_min_rate", counted)
+    solve_min_rate = solver.solve_min_rate
+    for module in (pareto, solver):
+        monkeypatch.setattr(module, "solve_min_rate", counted)
     rng = np.random.default_rng(43)
-    uniform = iq.compute_increments(random_world(rng, 3))
-    iq.trace_pareto(uniform)
-    assert calls == []  # the lattice answers uniform priors alone
+    iq.trace_pareto(iq.compute_increments(random_world(rng, 3)))
     for depth_l in (1, 2, 3):
         for kind in ("iid", "binary", "zero-weight") * 3:
             inc = iq.compute_increments(random_world(
                 rng, depth_l, binary=kind == "binary", uniform_prior=False,
                 zero_prior=kind == "zero-weight"))
-            calls.clear()
             points = iq.trace_pareto(inc)
             # a lone candidate of positive rate is depth-uniform: the lattice answers
             assert (_lattice_for(inc) is None) == (depth_l > 1)
-            assert len(calls) == 0 if depth_l == 1 else len(points) <= len(calls) <= len(points) + 1
             expected = oracle_pareto_values(inc, depth_l)
             assert len(points) == len(expected)
             for p, want in zip(points, expected):
                 assert p.d_star == pytest.approx(want[0], abs=1e-9)
                 assert p.d_hat_star == pytest.approx(want[1], abs=1e-9)
+    assert calls == []
+
+
+def test_weighted_trace_fails_fast_at_its_node_limit():
+    world = blob_world(np.random.default_rng(44), 4)
+    inc = iq.compute_increments(world)
+    assert _lattice_for(inc) is None
+    with pytest.raises(iq.ResourceLimitExceeded, match="node limit of 1000"):
+        iq.trace_pareto(inc, node_limit=1000)

@@ -1,5 +1,6 @@
 import gc
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -536,7 +537,14 @@ def test_weighted_32x32_solves_exactly():
     inc = iq.compute_increments(world)
     assert _lattice_for(inc) is None
     d_hat = 0.8 * iq.mutual_info_xy(world)
-    result = iq.solve_min_rate(inc, d_hat)
+    tracemalloc.start()
+    try:
+        result = iq.solve_min_rate(inc, d_hat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the lists keep copies of their kept points, not views of whole blocks
+    assert peak < 8 * 2 ** 20
     assert result.status == "optimal" and result.nodes_explored > 0
     assert result.i_y >= d_hat - TOL
     assert result.objective >= iq.solve_lp_relaxation(inc, d_hat)[1] - TOL
