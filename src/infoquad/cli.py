@@ -5,14 +5,13 @@ output is deterministic byte for byte: CSV floats use 12 significant digits
 and timing columns stay zero unless --timings is passed.  Exit codes: 0 ok,
 1 infeasible, inconsistent, or an exact weighted solve past its --node-limit,
 2 I/O or format error, a negative or NaN floor, budget or step, or a
-non-finite prior weight (argparse also exits 2 on a bad option).  A budget of
-inf sets no rate limit.
+non-finite prior weight (argparse also exits 2 on a bad option, or on two
+bounds for one program).  A budget of inf sets no rate limit.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -20,7 +19,8 @@ import time
 
 import numpy as np
 
-from .increments import FLOAT_FMT, compute_increments, tree_information, write_increments_csv
+from .increments import (FLOAT_FMT, compute_increments, tree_information, write_csv,
+                         write_increments_csv)
 from .pareto import DEFAULT_EPS_STEP, trace_pareto, write_pareto_csv
 from .quadtree import MalformedTreeDocument, _coordinates, read_tree_json, write_tree_json
 from .relaxation import relax_and_round, round_selection, solve_lp_relaxation
@@ -104,24 +104,18 @@ def cmd_infoplane(args) -> int:
     grid = np.linspace(0.0, info_xy, args.sweep) if args.sweep > 1 else np.array([0.0])
     # every floor is solved before the file is opened, so a solve that stops
     # at its node limit leaves no partial CSV behind
-    rows = [["method", "d_hat", "i_x", "i_y", "met_constraint", "ms"]]
-    for d_hat in grid:
+    rows = []
+    for d_hat in grid.tolist():
         t0 = time.perf_counter()
-        ilp = solve_min_rate(inc, float(d_hat), node_limit=args.node_limit)
+        ilp = solve_min_rate(inc, d_hat, node_limit=args.node_limit)
         ilp_ms = (time.perf_counter() - t0) * 1e3
-        rows.append([
-            "ilp", _fmt(float(d_hat)), _fmt(ilp.i_x), _fmt(ilp.i_y),
-            "true", _fmt(ilp_ms if args.timings else 0.0),
-        ])
+        rows.append(["ilp", d_hat, ilp.i_x, ilp.i_y, True, ilp_ms if args.timings else 0.0])
         t0 = time.perf_counter()
-        rounded, met = relax_and_round(inc, float(d_hat), args.delta)
+        rounded, met = relax_and_round(inc, d_hat, args.delta)
         lp_ms = (time.perf_counter() - t0) * 1e3
-        rows.append([
-            "relax-round", _fmt(float(d_hat)), _fmt(rounded.i_x), _fmt(rounded.i_y),
-            "true" if met else "false", _fmt(lp_ms if args.timings else 0.0),
-        ])
-    with open(args.out, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+        rows.append(["relax-round", d_hat, rounded.i_x, rounded.i_y, met,
+                     lp_ms if args.timings else 0.0])
+    write_csv(args.out, ["method", "d_hat", "i_x", "i_y", "met_constraint", "ms"], rows)
     print(f"wrote information-plane sweep of {grid.size} floors")
     return 0
 
@@ -139,12 +133,9 @@ def cmd_relax(args) -> int:
     if args.out:
         write_tree_json(args.out, selection, i_x, i_y)
     if args.frac_csv:
-        with open(args.frac_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["depth", "morton", "z_frac"])
-            values = zfrac.values
-            depths, mortons = _coordinates(np.arange(values.size), world.depth_l)
-            writer.writerows(zip(depths.tolist(), mortons.tolist(), map(_fmt, values.tolist())))
+        depths, mortons = _coordinates(np.arange(zfrac.values.size), world.depth_l)
+        write_csv(args.frac_csv, ["depth", "morton", "z_frac"],
+                  zip(depths.tolist(), mortons.tolist(), zfrac.values.tolist()))
     print(f"lp_objective: {_fmt(lp_objective)} nats")
     print(f"i_x: {_fmt(i_x)} nats")
     print(f"i_y: {_fmt(i_y)} nats")
@@ -220,10 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abstract", help="solve one abstraction program and write the tree")
     _add_input(p)
     p.add_argument("--mode", choices=["min-rate", "max-relevance"], required=True)
-    p.add_argument("--dhat", type=float, help="relevance floor in nats")
-    p.add_argument("--dhat-frac", type=float, help="relevance floor as a fraction of I(X;Y)")
-    p.add_argument("--budget", type=float, help="rate budget in nats")
-    p.add_argument("--budget-frac", type=float, help="rate budget as a fraction of I(X;Y)")
+    # one bound per program, in nats or as a fraction of I(X;Y)
+    floor = p.add_mutually_exclusive_group()
+    floor.add_argument("--dhat", type=float, help="relevance floor in nats")
+    floor.add_argument("--dhat-frac", type=float, help="relevance floor as a fraction of I(X;Y)")
+    budget = p.add_mutually_exclusive_group()
+    budget.add_argument("--budget", type=float, help="rate budget in nats")
+    budget.add_argument("--budget-frac", type=float, help="rate budget as a fraction of I(X;Y)")
     p.add_argument("--out", help="tree JSON output path")
     p.add_argument("--render", help="rendered abstraction PGM output path")
     p.add_argument("--units", choices=["nats", "bits"], default="nats")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .infotheory import js_divergence
-from .quadtree import NodeId, TreeSelection, depth_offset, num_candidates
+from .quadtree import NodeId, TreeSelection, _coordinates, depth_offset, num_candidates
 from .world import WorldMap
 
 __all__ = [
@@ -29,12 +29,13 @@ __all__ = [
     "tree_information",
     "increment_rows",
     "write_increments_csv",
+    "write_csv",
     "MASS_TOL",
     "FLOAT_FMT",
 ]
 
 MASS_TOL = 1e-9
-FLOAT_FMT = ".12g"  # every CSV float: 12 significant digits, byte-deterministic
+FLOAT_FMT = ".12g"  # every CSV and printed float: 12 significant digits, byte-deterministic
 
 
 @dataclass(frozen=True)
@@ -188,26 +189,27 @@ def increment_rows(world: WorldMap):
     `free` marks zero-mass candidates: selecting them changes neither
     information total.
     """
-    stats = compute_node_stats(world)
     inc = compute_increments(world)
-    rows = []
-    i = 0
-    for d in range(world.depth_l):
-        for m in range(4 ** d):
-            mass = float(stats.masses[d][m])
-            rows.append(
-                (d, m, mass, float(inc.delta_x[i]), float(inc.delta_y[i]), mass <= 0.0)
-            )
-            i += 1
-    return rows
+    # candidates are the depth-major nodes above the finest cells
+    mass = np.concatenate(compute_node_stats(world).masses)[:inc.num_candidates]
+    depths, mortons = _coordinates(np.arange(inc.num_candidates), world.depth_l)
+    return list(zip(depths.tolist(), mortons.tolist(), mass.tolist(), inc.delta_x.tolist(),
+                    inc.delta_y.tolist(), (mass <= 0.0).tolist()))
 
 
 def write_increments_csv(path, world: WorldMap):
+    write_csv(path, ["depth", "morton", "mass", "delta_x_nats", "delta_y_nats", "free"],
+              increment_rows(world))
+
+
+def write_csv(path, header, rows):
+    """Write a header and rows as CSV with csv's \\r\\n line ends: floats as
+    FLOAT_FMT, booleans as true/false and any other cell as csv writes it."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["depth", "morton", "mass", "delta_x_nats", "delta_y_nats", "free"])
-        for d, m, mass, dx, dy, free in increment_rows(world):
-            writer.writerow(
-                [d, m, format(mass, FLOAT_FMT), format(dx, FLOAT_FMT),
-                 format(dy, FLOAT_FMT), "true" if free else "false"]
-            )
+        writer.writerow(header)
+        writer.writerows(
+            [format(v, FLOAT_FMT) if isinstance(v, float)
+             else ("true" if v else "false") if isinstance(v, bool) else v for v in row]
+            for row in rows
+        )

@@ -9,30 +9,29 @@ relevance plus a small step) visits every achievable relevance level without
 a grid.
 
 The sweep makes no solve per point: it replays over the frontier's records,
-cost ascending and relevance strictly rising, which are the strict prefix
-records of the rate-class lattice's root table (the maximal relevance of
-every integer rate class) with a uniform prior, and the root list of one
-unpruned Pareto-list merge with a weighted one.  Records are reconstructed
-in batched level-by-level passes.
+cost ascending and relevance strictly rising, which one solver call gives for
+either prior: the strict prefix records of the rate-class lattice's root
+table (the maximal relevance of every integer rate class) with a uniform
+prior, and the root list of one unpruned Pareto-list merge with a weighted
+one.  Records are reconstructed in batched level-by-level passes.  The CSV is
+written by write_csv, the one writer of every CSV the package makes.
 """
 
 from __future__ import annotations
 
-import csv
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .increments import FLOAT_FMT, IncrementVectors, tree_information
+from .increments import IncrementVectors, tree_information, write_csv
 from .quadtree import TreeSelection
 from .solver import (
     DEFAULT_NODE_LIMIT,
     TOL,
     _check_bound,
-    _lattice_for,
-    _list_records,
+    _frontier_records,
     solve_min_rate,
 )
 
@@ -118,43 +117,17 @@ def trace_pareto(inc: IncrementVectors, eps_step: float = DEFAULT_EPS_STEP,
         raise ValueError(
             f"eps_step must exceed the feasibility tolerance {TOL}, got {eps_step}"
         )
-    lattice = _lattice_for(inc)
-    if lattice is None:
-        point_at = _record_points(inc, *_list_records(inc, node_limit))
-    else:
-        # the root table's strict prefix records hold the first class meeting
-        # any floor, and the argmax fallback that solve_min_rate takes
-        root = lattice.root
-        classes = np.flatnonzero(root > np.maximum.accumulate(np.r_[-np.inf, root[:-1]]))
-        point_at = _record_points(inc, classes, root[classes], lambda r: lattice.reconstruct_many(
-            classes[r:r + lattice.batch_rows]))
+    costs, values, reconstruct = _frontier_records(inc, node_limit)
+    costs, values = costs.tolist(), values.tolist()
     total = float(inc.delta_y.sum())
+    # the records reconstruct(first) gave, one tree per row
+    first, trees = 0, np.zeros((0, inc.num_candidates), dtype=np.uint8)
     points: list[ParetoPoint] = []
     query = 0.0
     while True:
-        point = point_at(query)
-        if points and point.d_hat_star <= points[-1].d_hat_star + 1e-15:
-            break  # floating-point guard; cannot happen for eps_step > tol
-        points.append(point)
-        if point.d_hat_star >= total - TOL:
-            break
-        query = min(point.d_hat_star + eps_step, total)
-    return points
-
-
-def _record_points(inc: IncrementVectors, costs, values, reconstruct):
-    """The per-floor point of trace_pareto over the frontier's records, costs
-    ascending and values strictly rising from the empty tree: the first
-    record meeting the floor within TOL (else the last), then, as
-    solve_min_rate breaks rate ties, the last within TOL of its cost; a floor
-    within TOL of 0 takes the empty tree.  reconstruct(r) gives the trees of
-    a batch of records from record r, the first one a floor asks for, on.
-    """
-    costs, values = costs.tolist(), values.tolist()
-    first, trees = 0, np.zeros((0, inc.num_candidates), dtype=np.uint8)
-
-    def point_at(query: float) -> ParetoPoint:
-        nonlocal first, trees
+        # the first record meeting the floor within TOL (else the last), then,
+        # as solve_min_rate breaks rate ties, the last within TOL of its cost;
+        # a floor within TOL of 0 takes the empty tree
         t0 = time.perf_counter()
         r = min(bisect_left(values, query - TOL), len(values) - 1)
         if query - TOL > 0:
@@ -164,14 +137,20 @@ def _record_points(inc: IncrementVectors, costs, values, reconstruct):
             first, trees = r, reconstruct(r)
         t2 = time.perf_counter()
         selection = TreeSelection(trees[r - first].copy())
+        # the next floor comes from these sums, not from the record's value:
+        # the two can differ in the last bits
         i_x, i_y = tree_information(selection, inc)
         t3 = time.perf_counter()
-        return ParetoPoint(
+        if points and i_y <= points[-1].d_hat_star + 1e-15:
+            break  # floating-point guard; cannot happen for eps_step > tol
+        points.append(ParetoPoint(
             d_star=i_x, d_hat_star=i_y, selection=selection, d_hat_query=query,
             stage1_ms=(t1 - t0 + t3 - t2) * 1e3, stage2_ms=(t2 - t1) * 1e3,
-        )
-
-    return point_at
+        ))
+        if i_y >= total - TOL:
+            break
+        query = min(i_y + eps_step, total)
+    return points
 
 
 def write_pareto_csv(path, points, include_timings: bool = False):
@@ -179,17 +158,9 @@ def write_pareto_csv(path, points, include_timings: bool = False):
 
     Timings vary run to run, so deterministic output (the default) writes 0.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["d_hat_query", "i_x_nats", "i_y_nats", "leaf_count", "stage1_ms", "stage2_ms"]
-        )
-        for p in points:
-            writer.writerow([
-                format(p.d_hat_query, FLOAT_FMT),
-                format(p.d_star, FLOAT_FMT),
-                format(p.d_hat_star, FLOAT_FMT),
-                p.selection.leaf_count,
-                format(p.stage1_ms if include_timings else 0.0, FLOAT_FMT),
-                format(p.stage2_ms if include_timings else 0.0, FLOAT_FMT),
-            ])
+    write_csv(
+        path, ["d_hat_query", "i_x_nats", "i_y_nats", "leaf_count", "stage1_ms", "stage2_ms"],
+        [[p.d_hat_query, p.d_star, p.d_hat_star, p.selection.leaf_count,
+          p.stage1_ms if include_timings else 0.0, p.stage2_ms if include_timings else 0.0]
+         for p in points],
+    )

@@ -39,7 +39,6 @@ __all__ = [
     "morton_interleave",
     "morton_deinterleave",
     "morton_permutation",
-    "tree_to_json",
     "write_tree_json",
     "read_tree_json",
     "MalformedTreeDocument",
@@ -293,26 +292,19 @@ def morton_permutation(depth_l: int) -> np.ndarray:
     return rows * side + cols
 
 
-def tree_to_json(selection: TreeSelection, i_x_nats: float, i_y_nats: float) -> dict:
-    """Tree document: selected nodes in canonical order plus its information pair."""
-    depths, mortons = _coordinates(np.flatnonzero(selection.z), selection.depth_l)
-    return {
-        "depth_l": selection.depth_l,
-        "selected": list(map(list, zip(depths.tolist(), mortons.tolist()))),
-        "leaf_count": selection.leaf_count,
-        "i_x_nats": float(i_x_nats),
-        "i_y_nats": float(i_y_nats),
-    }
-
-
 def write_tree_json(path, selection: TreeSelection, i_x_nats: float, i_y_nats: float):
-    """Write the tree document; the bytes are json.dump(doc, indent=1) plus a newline."""
-    doc = tree_to_json(selection, i_x_nats, i_y_nats)
+    """Write the tree document: depth_l, the selected nodes as [depth, morton]
+    pairs in canonical order, leaf_count and the information pair, as the
+    bytes json.dump writes at indent=1, plus a newline."""
+    depths, mortons = _coordinates(np.flatnonzero(selection.z), selection.depth_l)
     # json's indented encoder is pure Python: it writes the short frame, and
     # the node list, one entry per selected node, is formatted here
-    nodes = ",\n".join(f"  [\n   {d},\n   {m}\n  ]" for d, m in doc["selected"])
+    nodes = ",\n".join(f"  [\n   {d},\n   {m}\n  ]"
+                       for d, m in zip(depths.tolist(), mortons.tolist()))
     selected = f"[\n{nodes}\n ]" if nodes else "[]"
-    frame = json.dumps({**doc, "selected": 0}, indent=1)
+    frame = json.dumps({"depth_l": selection.depth_l, "selected": 0,
+                        "leaf_count": selection.leaf_count,
+                        "i_x_nats": float(i_x_nats), "i_y_nats": float(i_y_nats)}, indent=1)
     with open(path, "w") as fh:
         fh.write(frame.replace('"selected": 0,', f'"selected": {selected},', 1) + "\n")
 

@@ -413,10 +413,19 @@ def _walk(levels, at, depth_l) -> np.ndarray:
     return z
 
 
-def _list_records(inc: IncrementVectors, node_limit: int):
+def _frontier_records(inc: IncrementVectors, node_limit: int):
     """(costs, values, reconstruct) of the frontier of rate against
-    relevance: the root list of one unpruned merge, the empty tree first;
-    reconstruct(r) gives the trees of a batch of records from record r on."""
+    relevance, costs ascending and values strictly rising from the empty
+    tree: the strict prefix records of the lattice's root table with a
+    uniform prior, rate classes as costs, else the root list of one unpruned
+    merge, which node_limit bounds.  reconstruct(r) gives the trees of a
+    batch of records from record r on.  The records hold the first class
+    meeting any floor, and the argmax fallback that solve_min_rate takes."""
+    lattice = _lattice_for(inc)
+    if lattice is not None:
+        root = lattice.root
+        rec = np.flatnonzero(root > np.maximum.accumulate(np.r_[-np.inf, root[:-1]]))
+        return rec, root[rec], lambda r: lattice.reconstruct_many(rec[r:r + lattice.batch_rows])
     depth_l = depth_from_candidate_count(inc.num_candidates)
     if depth_l == 0:
         return np.zeros(1), np.zeros(1), lambda r: np.zeros((1, 0), dtype=np.uint8)

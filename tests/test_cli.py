@@ -107,6 +107,19 @@ def test_abstract_bad_pgm_exits_two(tmp_path, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds", [
+    ["--mode", "min-rate", "--dhat", "0.01", "--dhat-frac", "0.9"],
+    ["--mode", "max-relevance", "--budget", "0.5", "--budget-frac", "5"],
+], ids=["dhat", "budget"])
+def test_abstract_two_bounds_for_one_program_exit_two(quad_pgm, tmp_path, capsys, bounds):
+    out = tmp_path / "tree.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["abstract", "--input", str(quad_pgm), *bounds, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["abstract", "--mode", "min-rate", "--dhat-frac", "0.8"],
     ["pareto", "--out", "pareto.csv"],
@@ -388,6 +401,46 @@ def test_increments_csv(quad_pgm, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "depth,morton,mass,delta_x_nats,delta_y_nats,free"
     assert len(lines) == 6
+
+
+# the exact bytes of every CSV kind on the quadrant map: floats at 12
+# significant digits, booleans as true/false, \r\n line ends
+PINNED_CSVS = {
+    "pareto": (["--out", "{out}"],
+               "d_hat_query,i_x_nats,i_y_nats,leaf_count,stage1_ms,stage2_ms\r\n"
+               "0,0,0,1,0,0\r\n"
+               "2e-09,1.38629436112,0.203483366116,4,0,0\r\n"
+               "0.203483368116,1.7328679514,0.376770161256,7,0,0\r\n"),
+    "infoplane": (["--sweep", "2", "--out", "{out}"],
+                  "method,d_hat,i_x,i_y,met_constraint,ms\r\n"
+                  "ilp,0,0,0,true,0\r\n"
+                  "relax-round,0,0,0,true,0\r\n"
+                  "ilp,0.376770161256,1.7328679514,0.376770161256,true,0\r\n"
+                  "relax-round,0.376770161256,1.7328679514,0.376770161256,true,0\r\n"),
+    "relax": (["--dhat", "0.2", "--frac-csv", "{out}"],
+              "depth,morton,z_frac\r\n"
+              "0,0,0.530827598802\r\n"
+              "1,0,0.530827598802\r\n"
+              "1,1,0\r\n"
+              "1,2,0\r\n"
+              "1,3,0\r\n"),
+    "increments": (["--out", "{out}"],
+                   "depth,morton,mass,delta_x_nats,delta_y_nats,free\r\n"
+                   "0,0,1,1.38629436112,0.203483366116,false\r\n"
+                   "1,0,0.25,0.34657359028,0.17328679514,false\r\n"
+                   "1,1,0.25,0.34657359028,0,false\r\n"
+                   "1,2,0.25,0.34657359028,0,false\r\n"
+                   "1,3,0.25,0.34657359028,0,false\r\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_CSVS))
+def test_csv_bytes_are_pinned(quad_pgm, tmp_path, capsys, command):
+    options, expected = PINNED_CSVS[command]
+    out = tmp_path / "out.csv"
+    argv = [command, "--input", str(quad_pgm)] + [a.format(out=out) for a in options]
+    assert main(argv) == 0
+    assert out.read_bytes() == expected.encode()
 
 
 def test_cli_outputs_deterministic(quad_pgm, tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 import infoquad as iq
 from infoquad.increments import NodeStats, increment_rows
 from infoquad.quadtree import NodeId
-from helpers import quadrant_world, random_world, random_valid_selection
+from helpers import blob_world, quadrant_world, random_world, random_valid_selection
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -199,6 +199,13 @@ def test_increment_rows_and_csv(tmp_path):
     assert [r[:2] for r in rows] == [(0, 0), (1, 0), (1, 1), (1, 2), (1, 3)]
     free = [r[5] for r in rows]
     assert free == [False, False, True, True, True]
+    # the per-candidate loop the rows are gathered in place of
+    world3 = blob_world(np.random.default_rng(3), 3, zero_quadrant=True)
+    stats, inc = iq.compute_node_stats(world3), iq.compute_increments(world3)
+    nodes = [(d, m) for d in range(3) for m in range(4 ** d)]
+    assert increment_rows(world3) == [
+        (d, m, float(stats.masses[d][m]), float(inc.delta_x[i]), float(inc.delta_y[i]),
+         float(stats.masses[d][m]) <= 0.0) for i, (d, m) in enumerate(nodes)]
     path = tmp_path / "inc.csv"
     iq.write_increments_csv(path, world)
     lines = path.read_text().strip().splitlines()
