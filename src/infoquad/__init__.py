@@ -22,7 +22,6 @@ from .pareto import (
     DEFAULT_EPS_STEP,
     ParetoPoint,
     is_dominated,
-    pareto_point,
     trace_pareto,
     write_pareto_csv,
 )
@@ -83,6 +82,6 @@ __all__ = [
     "enumerate_valid_selections", "brute_force_solve", "count_valid_selections",
     "TOL", "DEFAULT_NODE_LIMIT",
     "FractionalSelection", "solve_lp_relaxation", "round_selection", "relax_and_round",
-    "ParetoPoint", "is_dominated", "pareto_point", "trace_pareto", "write_pareto_csv",
+    "ParetoPoint", "is_dominated", "trace_pareto", "write_pareto_csv",
     "DEFAULT_EPS_STEP",
 ]

@@ -4,9 +4,10 @@ Commands: abstract, pareto, infoplane, relax, validate, increments.  All
 output is deterministic byte for byte: CSV floats use 12 significant digits
 and timing columns stay zero unless --timings is passed.  Exit codes: 0 ok,
 1 infeasible, inconsistent, or an exact weighted solve past its --node-limit,
-2 I/O or format error, a negative or NaN floor, budget or step, or a
-non-finite prior weight (argparse also exits 2 on a bad option, or on two
-bounds for one program).  A budget of inf sets no rate limit.
+2 I/O or format error, a negative or NaN floor, budget or step, a bound of
+the program abstract does not solve, or a non-finite prior weight (argparse
+also exits 2 on a bad option, or on two bounds for one program).  A budget of
+inf sets no rate limit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -56,16 +56,20 @@ def _display(value_nats: float, units: str) -> str:
 
 
 def cmd_abstract(args) -> int:
-    world = _load_world(args)
-    inc = compute_increments(world)
-    info_xy = mutual_info_xy(world)
-    # a bound in nats or as a fraction of I(X;Y); only min-rate can be infeasible
-    name, solve = (("dhat", solve_min_rate) if args.mode == "min-rate"
-                   else ("budget", solve_max_relevance))
+    # a bound of this program, and none of the other, in nats or as a
+    # fraction of I(X;Y); only min-rate can be infeasible
+    name, other, solve = (("dhat", "budget", solve_min_rate) if args.mode == "min-rate"
+                          else ("budget", "dhat", solve_max_relevance))
     bound, frac = getattr(args, name), getattr(args, f"{name}_frac")
     if bound is None and frac is None:
         print(f"error: {args.mode} mode needs --{name} or --{name}-frac", file=sys.stderr)
         return 2
+    if getattr(args, other) is not None or getattr(args, f"{other}_frac") is not None:
+        print(f"error: {args.mode} mode takes no --{other} or --{other}-frac", file=sys.stderr)
+        return 2
+    world = _load_world(args)
+    inc = compute_increments(world)
+    info_xy = mutual_info_xy(world)
     if bound is None:
         # only a finite fraction >= 0 scales I(X;Y): an infinite one is no
         # limit and a negative or NaN one an error, even where I(X;Y) = 0
@@ -106,15 +110,11 @@ def cmd_infoplane(args) -> int:
     # at its node limit leaves no partial CSV behind
     rows = []
     for d_hat in grid.tolist():
-        t0 = time.perf_counter()
         ilp = solve_min_rate(inc, d_hat, node_limit=args.node_limit)
-        ilp_ms = (time.perf_counter() - t0) * 1e3
-        rows.append(["ilp", d_hat, ilp.i_x, ilp.i_y, True, ilp_ms if args.timings else 0.0])
-        t0 = time.perf_counter()
         rounded, met = relax_and_round(inc, d_hat, args.delta)
-        lp_ms = (time.perf_counter() - t0) * 1e3
-        rows.append(["relax-round", d_hat, rounded.i_x, rounded.i_y, met,
-                     lp_ms if args.timings else 0.0])
+        for method, result, ok in (("ilp", ilp, True), ("relax-round", rounded, met)):
+            rows.append([method, d_hat, result.i_x, result.i_y, ok,
+                         result.wall_time_ms if args.timings else 0.0])
     write_csv(args.out, ["method", "d_hat", "i_x", "i_y", "met_constraint", "ms"], rows)
     print(f"wrote information-plane sweep of {grid.size} floors")
     return 0

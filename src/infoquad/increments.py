@@ -156,15 +156,10 @@ def compute_increments(world: WorldMap) -> IncrementVectors:
     delta_y = np.zeros(n)
     g = [_weighted_entropy(joint, mass) for joint, mass in zip(stats.joints, stats.masses)]
     for d in range(world.depth_l):
-        parent_mass = stats.masses[d]
-        child_mass = stats.masses[d + 1].reshape(-1, 4)
         # p(t) H(Pi) = -sum_c p(c) ln(p(c)/p(t))
-        pos = child_mass > 0
-        ratio = np.where(pos, child_mass, 1.0) / np.where(parent_mass > 0, parent_mass, 1.0)[:, None]
-        dx = -np.where(pos, child_mass * np.log(ratio), 0.0).sum(axis=1)
+        dx = np.maximum(_weighted_entropy(stats.masses[d + 1].reshape(-1, 4), stats.masses[d]), 0.0)
         dy = g[d] - g[d + 1].reshape(-1, 4).sum(axis=1)
         lo, hi = depth_offset(d), depth_offset(d + 1)
-        dx = np.maximum(dx, 0.0)
         # JS <= H(Pi) exactly; keep the float results on the right side of it
         delta_x[lo:hi] = dx
         delta_y[lo:hi] = np.minimum(np.maximum(dy, 0.0), dx)

@@ -1,12 +1,12 @@
 """Tracing the Pareto-optimal compression/relevance pairs of a world.
 
 Each traced point is the relevance-maximal tree among those at the minimal
-rate meeting a relevance floor.  One min-rate solve gives it: several trees
-can share the optimal rate while retaining different amounts of relevant
-information, and the solver breaks rate ties within 1e-9 by the larger
-relevance.  Sweeping the floor adaptively (next query = last achieved
-relevance plus a small step) visits every achievable relevance level without
-a grid.
+rate meeting a relevance floor, which is what solve_min_rate returns for that
+floor: several trees can share the optimal rate while retaining different
+amounts of relevant information, and the solver breaks rate ties within 1e-9
+by the larger relevance.  Sweeping the floor adaptively (next query = last
+achieved relevance plus a small step) visits every achievable relevance level
+without a grid.
 
 The sweep makes no solve per point: it replays over the frontier's records,
 cost ascending and relevance strictly rising, which one solver call gives for
@@ -27,18 +27,11 @@ import numpy as np
 
 from .increments import IncrementVectors, tree_information, write_csv
 from .quadtree import TreeSelection
-from .solver import (
-    DEFAULT_NODE_LIMIT,
-    TOL,
-    _check_bound,
-    _frontier_records,
-    solve_min_rate,
-)
+from .solver import DEFAULT_NODE_LIMIT, TOL, _frontier_records
 
 __all__ = [
     "ParetoPoint",
     "is_dominated",
-    "pareto_point",
     "trace_pareto",
     "write_pareto_csv",
     "DEFAULT_EPS_STEP",
@@ -62,40 +55,15 @@ class ParetoPoint:
     stage2_ms: float = 0.0
 
 
-def is_dominated(a, b, tol: float = TOL) -> bool:
-    """True iff b is at least as good as a in both coordinates and better in one."""
+def is_dominated(a, b) -> bool:
+    """True iff b is at least as good as a in both coordinates, within TOL,
+    and better in one by more than TOL."""
     a_ix, a_iy = a
     b_ix, b_iy = b
     return (
-        b_ix <= a_ix + tol
-        and b_iy >= a_iy - tol
-        and (b_ix < a_ix - tol or b_iy > a_iy + tol)
-    )
-
-
-def pareto_point(inc: IncrementVectors, d_hat: float,
-                 node_limit: int = DEFAULT_NODE_LIMIT) -> ParetoPoint:
-    """Pareto-optimal value pair for one relevance floor.
-
-    One min-rate solve finds the minimal rate D* meeting the floor, and its
-    tie rule makes the tree the most relevant one at D*; stage1_ms is that
-    solve and stage2_ms is 0.  The result dominates the floor:
-    d_hat_star >= d_hat - 1e-9.
-    """
-    total = float(inc.delta_y.sum())
-    _check_bound("d_hat", d_hat)
-    if d_hat > total + TOL:
-        raise ValueError(
-            f"d_hat {d_hat!r} exceeds the total relevance I(X;Y) = {total!r}"
-        )
-    t0 = time.perf_counter()
-    result = solve_min_rate(inc, d_hat, node_limit=node_limit)
-    return ParetoPoint(
-        d_star=result.i_x,
-        d_hat_star=result.i_y,
-        selection=result.selection,
-        d_hat_query=d_hat,
-        stage1_ms=(time.perf_counter() - t0) * 1e3,
+        b_ix <= a_ix + TOL
+        and b_iy >= a_iy - TOL
+        and (b_ix < a_ix - TOL or b_iy > a_iy + TOL)
     )
 
 

@@ -423,9 +423,8 @@ def _frontier_records(inc: IncrementVectors, node_limit: int):
     meeting any floor, and the argmax fallback that solve_min_rate takes."""
     lattice = _lattice_for(inc)
     if lattice is not None:
-        root = lattice.root
-        rec = np.flatnonzero(root > np.maximum.accumulate(np.r_[-np.inf, root[:-1]]))
-        return rec, root[rec], lambda r: lattice.reconstruct_many(rec[r:r + lattice.batch_rows])
+        rec, values = _rises(lattice.root)
+        return rec, values, lambda r: lattice.reconstruct_many(rec[r:r + lattice.batch_rows])
     depth_l = depth_from_candidate_count(inc.num_candidates)
     if depth_l == 0:
         return np.zeros(1), np.zeros(1), lambda r: np.zeros((1, 0), dtype=np.uint8)

@@ -120,6 +120,24 @@ def test_abstract_two_bounds_for_one_program_exit_two(quad_pgm, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bounds", [
+    ["--mode", "min-rate", "--dhat-frac", "0.5", "--budget", "0.001"],
+    ["--mode", "min-rate", "--dhat-frac", "0.5", "--budget-frac", "0.1"],
+    ["--mode", "max-relevance", "--budget", "1", "--dhat", "100"],
+    ["--mode", "max-relevance", "--budget", "1", "--dhat-frac", "0.5"],
+], ids=["budget", "budget-frac", "dhat", "dhat-frac"])
+def test_abstract_bound_of_the_other_program_exits_two(iid8, tmp_path, capsys, bounds):
+    out, render = tmp_path / "tree.json", tmp_path / "render.pgm"
+    code = main(["abstract", "--input", str(iid8[0]), *bounds,
+                 "--out", str(out), "--render", str(render)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert not out.exists() and not render.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["abstract", "--mode", "min-rate", "--dhat-frac", "0.8"],
     ["pareto", "--out", "pareto.csv"],
@@ -219,6 +237,24 @@ def test_infoplane_sweep(quad_pgm, tmp_path):
         fields = line.split(",")
         assert fields[0] in ("ilp", "relax-round")
         assert float(fields[3]) <= mi + 1e-9
+
+
+@pytest.mark.parametrize("command, column", [
+    (["pareto"], -2), (["infoplane", "--sweep", "5"], -1),
+], ids=["pareto", "infoplane"])
+def test_timings_are_written_only_when_asked(quad_pgm, tmp_path, command, column):
+    # pareto's stage1_ms column, infoplane's ms; stage2_ms may be 0 when no
+    # point needs a reconstruction of its own
+    times = {}
+    for flag in ([], ["--timings"]):
+        out = tmp_path / "out.csv"
+        assert main([*command, "--input", str(quad_pgm), "--out", str(out), *flag]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        times[bool(flag)] = [row.split(",")[column] for row in rows]
+    assert set(times[False]) == {"0"}
+    timed = [float(t) for t in times[True]]
+    assert len(timed) == len(times[False])
+    assert min(timed) >= 0 and max(timed) > 0
 
 
 def test_infoplane_single_point(flat_pgm, tmp_path):

@@ -8,10 +8,6 @@ from infoquad import pareto, solver
 from infoquad.solver import _lattice_for
 from helpers import blob_world, quadrant_world, random_world, reference_reconstruct
 
-QUAD_I_XY = 0.37677016125643675
-QUAD_RATE = 1.7328679513998633
-LN4 = 1.3862943611198906
-
 
 @lru_cache(maxsize=None)
 def all_selections(depth_l):
@@ -53,35 +49,6 @@ def test_is_dominated_strictness():
     assert iq.is_dominated((1, 1), (1, 2))       # same rate, more relevance
     assert iq.is_dominated((2, 1), (1, 2))       # better in both
     assert not iq.is_dominated((1, 2), (1, 1))   # worse relevance
-
-
-def test_pareto_point_origin():
-    inc = iq.compute_increments(quadrant_world())
-    point = iq.pareto_point(inc, 0.0)
-    assert (point.d_star, point.d_hat_star) == (0.0, 0.0)
-    assert point.selection.num_selected == 0
-
-
-def test_pareto_point_full_relevance():
-    inc = iq.compute_increments(quadrant_world())
-    point = iq.pareto_point(inc, QUAD_I_XY)
-    assert point.d_star == pytest.approx(QUAD_RATE, abs=1e-9)
-    assert point.d_hat_star == pytest.approx(QUAD_I_XY, abs=1e-9)
-    assert point.d_hat_star >= QUAD_I_XY - 1e-9
-
-
-def test_pareto_point_rejects_excess_floor():
-    inc = iq.compute_increments(quadrant_world())
-    with pytest.raises(ValueError, match="exceeds"):
-        iq.pareto_point(inc, QUAD_I_XY + 0.05)
-
-
-def test_pareto_point_repairs_min_rate_solution():
-    # at the tied optimal rate the point must pick the more relevant tree
-    inc = iq.compute_increments(quadrant_world())
-    point = iq.pareto_point(inc, 0.1)
-    assert point.d_star == pytest.approx(LN4, abs=1e-9)
-    assert point.d_hat_star == pytest.approx(0.20348336611645043, abs=1e-9)
 
 
 def test_trace_no_relevance_single_point():
@@ -180,14 +147,18 @@ def test_pareto_csv_written_sorted(tmp_path):
 
 
 def point_by_point_trace(inc, eps_step):
-    """The floor sweep with one pareto_point (one min-rate solve) per point."""
+    """The floor sweep with one min-rate solve per point, as
+    (d_star, d_hat_star, d_hat_query, selection) tuples."""
     total = float(inc.delta_y.sum())
-    points = [iq.pareto_point(inc, 0.0)]
-    while points[-1].d_hat_star < total - 1e-9:
-        point = iq.pareto_point(inc, min(points[-1].d_hat_star + eps_step, total))
-        if point.d_hat_star <= points[-1].d_hat_star + 1e-15:
+    points, query = [], 0.0
+    while True:
+        result = iq.solve_min_rate(inc, query)
+        if points and result.i_y <= points[-1][1] + 1e-15:
             break
-        points.append(point)
+        points.append((result.i_x, result.i_y, query, result.selection))
+        if result.i_y >= total - 1e-9:
+            break
+        query = min(result.i_y + eps_step, total)
     return points
 
 
@@ -232,8 +203,7 @@ def test_lattice_trace_equals_two_stage_trace(kind, depth_l, seed, eps_step):
     want = point_by_point_trace(inc, eps_step)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert (g.d_star, g.d_hat_star, g.d_hat_query) == (w.d_star, w.d_hat_star, w.d_hat_query)
-        assert g.selection == w.selection
+        assert (g.d_star, g.d_hat_star, g.d_hat_query, g.selection) == w
 
 
 @pytest.mark.parametrize("depth_l, binary", [(1, False), (3, True), (5, False), (5, True)])
@@ -261,8 +231,8 @@ def test_trace_makes_no_solve_and_matches_oracle(monkeypatch):
         return solve_min_rate(*args, **kwargs)
 
     solve_min_rate = solver.solve_min_rate
-    for module in (pareto, solver):
-        monkeypatch.setattr(module, "solve_min_rate", counted)
+    assert not hasattr(pareto, "solve_min_rate")
+    monkeypatch.setattr(solver, "solve_min_rate", counted)
     rng = np.random.default_rng(43)
     iq.trace_pareto(iq.compute_increments(random_world(rng, 3)))
     for depth_l in (1, 2, 3):

@@ -15,6 +15,7 @@ from helpers import (blob_world, quadrant_world, random_world, reference_list_ob
                      reference_seed_cover, reference_seed_pack)
 
 LN2 = 0.6931471805599453
+LN4 = 1.3862943611198906
 QUAD_I_XY = 0.37677016125643675
 QUAD_RATE = 1.7328679513998633
 
@@ -45,9 +46,28 @@ def test_min_rate_infeasible_above_total(quad_inc):
     assert result.status == "infeasible"
 
 
+def test_min_rate_tie_takes_the_more_relevant_tree(quad_inc):
+    # the root's split alone, at rate ln 4, is the cheapest tree meeting 0.1
+    result = iq.solve_min_rate(quad_inc, 0.1)
+    assert result.i_x == pytest.approx(LN4, abs=1e-9)
+    assert result.i_y == pytest.approx(0.20348336611645043, abs=1e-9)
+    # a uniform prior gives every quadrant's split the same rate; quadrants 0
+    # and 1 add relevance, 0 the more, so both trees meet the floor at the
+    # optimal rate and the lattice must return the more relevant one
+    p1 = np.array([0.9, 0.1, 0.8, 0.2, 0.7, 0.3, 0.6, 0.4] + [0.5] * 8)
+    inc = iq.compute_increments(iq.world_from_cells(2, np.column_stack([1.0 - p1, p1])))
+    assert _lattice_for(inc) is not None
+    assert inc.delta_x[1] == inc.delta_x[2]
+    assert inc.delta_y[1] > inc.delta_y[2] + 1e-3
+    d_hat = float(inc.delta_y[0] + inc.delta_y[2])
+    result = iq.solve_min_rate(inc, d_hat)
+    assert result.selection.z.tolist() == [1, 1, 0, 0, 0]
+    assert result.selection == iq.brute_force_solve(inc, "min-rate", d_hat).selection
+
+
 def test_min_rate_rejects_negative(quad_inc):
     for bad in (-0.5, float("nan")):
-        for solve in (iq.solve_min_rate, iq.pareto_point, iq.solve_lp_relaxation,
+        for solve in (iq.solve_min_rate, iq.solve_lp_relaxation,
                       lambda inc, d: iq.brute_force_solve(inc, "min-rate", d)):
             with pytest.raises(ValueError, match="negative"):
                 solve(quad_inc, bad)
