@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,11 +99,8 @@ def candidate_at(index: int) -> NodeId:
 
 def depth_from_candidate_count(n: int) -> int:
     """Recover l from the candidate count (4^l - 1) / 3, rejecting other lengths."""
-    depth_l, count = 0, 0
-    while count < n:
-        depth_l += 1
-        count = num_candidates(depth_l)
-    if count != n:
+    depth_l = (3 * n + 1).bit_length() // 2  # 3n + 1 = 4^l has 2l + 1 bits
+    if not (n >= 0 and num_candidates(depth_l) == n):
         raise ValueError(f"{n} is not a full candidate count (4^l - 1)/3")
     return depth_l
 
@@ -115,11 +112,7 @@ class TreeSelection:
     z: np.ndarray
 
     def __post_init__(self):
-        z = np.ascontiguousarray(self.z, dtype=np.uint8)
-        if z.ndim != 1:
-            raise ValueError("selection vector must be one-dimensional")
-        if z.size and not np.all((z == 0) | (z == 1)):
-            raise ValueError("selection entries must be 0 or 1")
+        z = _binary_vector(self.z)
         depth_from_candidate_count(z.size)  # reject non-quadtree lengths
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
@@ -164,11 +157,19 @@ def expandable_parents(depth_l: int) -> set[NodeId]:
     return {NodeId(d, m) for d in range(max(depth_l - 1, 0)) for m in range(4 ** d)}
 
 
+def _binary_vector(values) -> np.ndarray:
+    """values as a contiguous uint8 vector, checked before the cast: one
+    dimension, and every entry exactly 0 or 1."""
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError("selection vector must be one-dimensional")
+    if values.size and not np.all((values == 0) | (values == 1)):
+        raise ValueError("selection entries must be 0 or 1")
+    return np.ascontiguousarray(values, dtype=np.uint8)
+
+
 def _as_z(selection, depth_l=None) -> np.ndarray:
-    if isinstance(selection, TreeSelection):
-        z = selection.z
-    else:
-        z = np.ascontiguousarray(selection, dtype=np.uint8)
+    z = selection.z if isinstance(selection, TreeSelection) else _binary_vector(selection)
     if depth_l is not None and z.size != num_candidates(depth_l):
         raise ValueError(
             f"selection length mismatch: got {z.size}, "

@@ -39,10 +39,14 @@ class FractionalSelection:
     z: np.ndarray
 
     def __post_init__(self):
-        z = np.ascontiguousarray(self.z, dtype=np.float64)
-        depth_from_candidate_count(z.size)
-        if np.any(z < -_PRECEDENCE_SLACK) or np.any(z > 1.0 + _PRECEDENCE_SLACK):
+        # the entries are checked as given, before the cast; NaN fails
+        z = np.asarray(self.z)
+        if z.ndim != 1:
+            raise ValueError("fractional selection must be one-dimensional")
+        if not np.all((z >= -_PRECEDENCE_SLACK) & (z <= 1.0 + _PRECEDENCE_SLACK)):
             raise ValueError("fractional entries must lie in [0, 1] up to 1e-9")
+        z = np.ascontiguousarray(z, dtype=np.float64)
+        depth_from_candidate_count(z.size)
         if _orphans(z, _PRECEDENCE_SLACK).size:
             raise ValueError("fractional selection violates precedence beyond 1e-9")
         z.setflags(write=False)

@@ -690,22 +690,16 @@ def _lattice_for(inc: IncrementVectors) -> _LatticeDP | None:
     return _LATTICES[inc]
 
 
-def _result_from_z(z, inc: IncrementVectors, problem, nodes, t0) -> SolveResult:
+def _result_from_z(z, inc: IncrementVectors, problem, nodes, t0, status="optimal") -> SolveResult:
     """The result of selection z for problem "min-rate" (objective i_x) or
-    "max-relevance" (objective i_y)."""
+    "max-relevance" (objective i_y); an "infeasible" one has a NaN objective."""
     selection = TreeSelection(np.asarray(z, dtype=np.uint8))
     i_x, i_y = tree_information(selection, inc)
     objective = i_x if problem == "min-rate" else i_y
+    if status == "infeasible":
+        objective = float("nan")
     return SolveResult(
-        selection, i_x, i_y, objective, "optimal", nodes,
-        (time.perf_counter() - t0) * 1e3,
-    )
-
-
-def _infeasible_result(inc: IncrementVectors, t0) -> SolveResult:
-    selection = TreeSelection(np.zeros(inc.num_candidates, dtype=np.uint8))
-    return SolveResult(
-        selection, 0.0, 0.0, float("nan"), "infeasible", 0,
+        selection, i_x, i_y, objective, status, nodes,
         (time.perf_counter() - t0) * 1e3,
     )
 
@@ -724,18 +718,15 @@ def solve_min_rate(inc: IncrementVectors, d_hat: float,
     depth_l = depth_from_candidate_count(a.size)
     total_b = float(b.sum())
     if d_hat > total_b + TOL:
-        return _infeasible_result(inc, t0)
+        return _result_from_z(np.zeros(a.size, np.uint8), inc, "min-rate", 0, t0, "infeasible")
     need = d_hat - TOL
     if need <= 0 or a.size == 0:
         return _result_from_z(np.zeros(a.size, np.uint8), inc, "min-rate", 0, t0)
     lattice = _lattice_for(inc)
     if lattice is not None:
-        k = lattice.first_class(need, lattice.top)
-        if k is None:
-            # summation-order dust can leave the full-coverage class an ulp
-            # short of a floor that sits right at the feasibility edge: take
-            # the first class holding the root's maximum
-            k = lattice.first_class(lattice.best_value(lattice.top), lattice.top)
+        # a floor above the root's maximum, which summation-order dust can leave
+        # an ulp short of the total, takes the first class holding that maximum
+        k = lattice.first_class(min(need, lattice.best_value(lattice.top)), lattice.top)
         return _result_from_z(lattice.reconstruct_many([k])[0], inc, "min-rate", 0, t0)
     z, nodes = _solve_covering(a, b, need, node_limit, depth_l)
     return _result_from_z(z, inc, "min-rate", nodes, t0)
@@ -838,7 +829,7 @@ def brute_force_solve(inc: IncrementVectors, problem: str, bound: float) -> Solv
         _check_bound("d_hat", bound)
         feasible = iy >= bound - TOL
         if not feasible.any():
-            return _infeasible_result(inc, t0)
+            return _result_from_z(Z[0], inc, problem, 0, t0, "infeasible")
         candidates = np.flatnonzero(feasible)
         best_obj = ix[candidates].min()
         candidates = candidates[ix[candidates] <= best_obj + TOL]

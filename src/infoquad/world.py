@@ -254,8 +254,8 @@ def world_from_grid(p1_grid, prior_grid=None, maxval=255) -> WorldMap:
     return world if prior_grid is None else prior_from_weights(np.ravel(prior_grid), world)
 
 
-def render_abstraction(path, world: WorldMap, selection: TreeSelection, maxval=None):
-    """Write a P2 PGM with each leaf region filled by round(maxval*(1 - p(y=1|t))).
+def render_abstraction(path, world: WorldMap, selection: TreeSelection):
+    """Write a P2 PGM filling each leaf region with round(world.maxval * (1 - p(y=1|t))).
 
     Zero-mass leaves have no defined relevance; they fall back to the unweighted
     mean intensity of their cells so the render stays deterministic.
@@ -266,7 +266,6 @@ def render_abstraction(path, world: WorldMap, selection: TreeSelection, maxval=N
         raise ValueError(
             f"selection depth_l {selection.depth_l} does not match world {world.depth_l}"
         )
-    maxval = world.maxval if maxval is None else int(maxval)
     if not is_valid_selection(selection, world.depth_l):
         raise ValueError("invalid selection: child selected without its parent")
     leaf_depths = _leaf_depths(selection.z, world.depth_l)
@@ -285,4 +284,4 @@ def render_abstraction(path, world: WorldMap, selection: TreeSelection, maxval=N
         mean = rel.mean(axis=1)[leaves, 0]
         value = np.where(mass > 0, dot / np.where(mass > 0, mass, 1.0), mean)
         fill.reshape(-1, width)[leaves] = value[:, None]
-    _write_p2(path, world, np.rint(maxval * (1.0 - fill)).astype(np.int64), maxval)
+    _write_p2(path, world, np.rint(world.maxval * (1.0 - fill)).astype(np.int64), world.maxval)

@@ -351,12 +351,12 @@ def reference_leaf_spans(selection):
     return spans
 
 
-def reference_render(path, world, selection, maxval=None):
+def reference_render(path, world, selection):
     """render_abstraction one leaf at a time, writing one pixel at a time.
     The reference for the per-depth render."""
     from infoquad.quadtree import morton_permutation
 
-    maxval = world.maxval if maxval is None else int(maxval)
+    maxval = world.maxval
     p1 = world.cell_relevance[:, 1]
     fill = np.empty(world.num_cells, dtype=np.float64)
     for _, lo, hi in reference_leaf_spans(selection):

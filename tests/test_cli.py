@@ -172,6 +172,24 @@ def test_node_limit_must_be_positive(quad_pgm, capsys, limit):
     assert "must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,option,value", [
+    (["abstract", "--mode", "min-rate", "--dhat", "0"], "--node-limit", "abc"),
+    (["abstract", "--mode", "min-rate", "--dhat", "0"], "--node-limit", "1e3"),
+    (["infoplane", "--out", "plane.csv"], "--sweep", "2.5"),
+], ids=["node-limit-text", "node-limit-float", "sweep-float"])
+def test_integer_options_reject_non_integer_text(quad_pgm, tmp_path, capsys, command, option, value):
+    argv = [*command, "--input", str(quad_pgm), option, value]
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path / a) if a.endswith(".csv") else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"infoquad {command[0]}: error: argument {option}: "
+                      f"must be a positive integer, got {value!r}"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_abstract_with_prior(quad_pgm, tmp_path, capsys):
     prior = tmp_path / "prior.txt"
     # all mass on the top-left quadrant rows

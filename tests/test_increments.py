@@ -211,3 +211,13 @@ def test_increment_rows_and_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "depth,morton,mass,delta_x_nats,delta_y_nats,free"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: iq.IncrementVectors(np.zeros(5), np.zeros(4)), r"^increment shape mismatch: \(5,\) vs \(4,\)$"),
+    (lambda: iq.IncrementVectors(np.zeros((1, 5)), np.zeros((1, 5))),
+     r"^increment shape mismatch: \(1, 5\) vs \(1, 5\)$"),
+], ids=["lengths", "two-dimensional"])
+def test_increments_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -139,3 +139,14 @@ def test_direct_i_x_equals_leaf_entropy():
                   iq.quadtree.leaf_spans(sel)]
         masses = np.array([m for m in masses if m > 0])
         assert i_x == pytest.approx(iq.entropy(masses), abs=1e-9)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: iq.entropy([[0.5, 0.5]]), r"^distribution must be one-dimensional$"),
+    (lambda: iq.kl_divergence([[1.0]], [[1.0]]), r"^p must be one-dimensional$"),
+    (lambda: iq.direct_tree_information(quadrant_world(), iq.TreeSelection(np.zeros(1, np.uint8))),
+     r"^selection depth_l 1 does not match world 2$"),
+], ids=["entropy-2d", "kl-2d", "tree-depth"])
+def test_infotheory_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

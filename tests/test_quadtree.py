@@ -14,6 +14,7 @@ from infoquad.quadtree import (
     leaf_spans,
     morton_deinterleave,
     morton_interleave,
+    num_candidates,
     read_tree_json,
     selection_from_nodes,
     write_tree_json,
@@ -61,6 +62,45 @@ def test_depth_from_candidate_count_rejects_partial():
     assert depth_from_candidate_count(21) == 3
     with pytest.raises(ValueError):
         depth_from_candidate_count(4)
+
+
+def test_depth_from_candidate_count_accepts_exactly_the_full_counts():
+    accepted = {}
+    for n in range(-50, 30_000):
+        try:
+            accepted[n] = depth_from_candidate_count(n)
+        except ValueError as exc:
+            assert str(exc) == f"{n} is not a full candidate count (4^l - 1)/3"
+    assert accepted == {num_candidates(depth_l): depth_l for depth_l in range(9)}
+    big = num_candidates(40)
+    assert depth_from_candidate_count(big) == 40
+    for n in (big - 1, big + 1):
+        with pytest.raises(ValueError, match="not a full candidate count"):
+            depth_from_candidate_count(n)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: TreeSelection(np.array([1, 1.5, 0, 0, 0])), "must be 0 or 1"),
+    (lambda: TreeSelection(np.array([1, 0.999, 0, 0, 0])), "must be 0 or 1"),
+    (lambda: TreeSelection(np.array([1, 256, 0, 0, 0])), "must be 0 or 1"),
+    (lambda: TreeSelection(np.array([1, -1, 0, 0, 0])), "must be 0 or 1"),
+    (lambda: TreeSelection(np.array([1, np.nan, 0, 0, 0])), "must be 0 or 1"),
+    (lambda: TreeSelection(np.zeros((1, 5), np.uint8)), "one-dimensional"),
+    (lambda: iq.is_valid_selection([0, 0.7, 0, 0, 0], 2), "must be 0 or 1"),
+    (lambda: iq.is_valid_selection(np.zeros((1, 5)), 2), "one-dimensional"),
+    (lambda: iq.leaves_of(np.array([1, 2, 0, 0, 0])), "must be 0 or 1"),
+    (lambda: leaf_spans(np.array([0.5, 0, 0, 0, 0])), "must be 0 or 1"),
+    (lambda: iq.encoder_of(np.array([1, 0, 0, 0, 256])), "must be 0 or 1"),
+    (lambda: num_candidates(-1), "negative depth_l: -1"),
+    (lambda: candidate_at(-1), "negative candidate index: -1"),
+    (lambda: iq.interior_candidates(-1), "negative depth_l: -1"),
+    (lambda: iq.expandable_parents(-1), "negative depth_l: -1"),
+], ids=["half", "almost-one", "wraps-to-zero", "negative", "nan", "two-dimensional",
+        "valid-half", "valid-two-dimensional", "leaves-two", "spans-half", "encoder-wraps",
+        "count-depth", "candidate-index", "interior-depth", "parents-depth"])
+def test_quadtree_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("depth_l,expected", [(1, 0), (2, 1), (3, 5)])

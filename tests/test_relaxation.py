@@ -4,6 +4,7 @@ import pytest
 import infoquad as iq
 from infoquad.relaxation import FractionalSelection
 from helpers import (
+    blob_world,
     quadrant_world,
     random_monotone_fractional,
     random_world,
@@ -79,6 +80,48 @@ def test_fractional_selection_validation():
         FractionalSelection(np.array([0.2, 0.8, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         FractionalSelection(np.array([1.2, 0.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        FractionalSelection(np.array([np.nan, 0.0, 0.0, 0.0, 0.0]))
+    for shape in ((1, 5), (5, 1), (2, 5)):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            FractionalSelection(np.zeros(shape))
+    with pytest.raises(ValueError, match="not a full candidate count"):
+        FractionalSelection(np.zeros(4))
+
+
+def _lower_hull(points):
+    """The vertices of the lower convex hull of (relevance, rate) points
+    given in ascending relevance: Andrew's monotone chain."""
+    hull = []
+    for p in points:
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+                                  <= (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(p)
+    return hull
+
+
+@pytest.mark.parametrize("make_world,vertices", [
+    (lambda: random_world(np.random.default_rng(1), 4), 15),
+    (lambda: random_world(np.random.default_rng(3), 4), 8),
+    (lambda: random_world(np.random.default_rng(4), 4, binary=True), 2),
+    (lambda: blob_world(np.random.default_rng(3), 4), 61),
+    (lambda: random_world(np.random.default_rng(2), 4, uniform_prior=False), 13),
+], ids=["uniform-1", "uniform-3", "uniform-binary-4", "weighted-blob-3", "weighted-2"])
+def test_lp_value_is_the_lower_hull_of_the_exact_frontier(make_world, vertices):
+    # the tree-validity polytope is integral, so the relaxed min-rate value at
+    # any floor is the lower convex hull of the exact frontier: exact at its
+    # vertices and linear between them, and never above a frontier point
+    inc = iq.compute_increments(make_world())
+    points = [(p.d_hat_star, p.d_star) for p in iq.trace_pareto(inc)]
+    hull = _lower_hull(points)
+    assert len(hull) == vertices
+    assert hull[0] == (0.0, 0.0) and hull[-1] == points[-1]
+    checks = hull + [((y0 + y1) / 2, (x0 + x1) / 2) for (y0, x0), (y1, x1) in zip(hull, hull[1:])]
+    for d_hat, rate in checks:
+        assert iq.solve_lp_relaxation(inc, d_hat)[1] == pytest.approx(rate, abs=1e-9)
+    for d_hat, rate in points:
+        assert iq.solve_lp_relaxation(inc, d_hat)[1] <= rate + 1e-9
 
 
 def test_rounding_always_valid_property():

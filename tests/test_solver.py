@@ -137,6 +137,40 @@ def test_brute_force_caps_depth():
         iq.brute_force_solve(inc, "nonsense", 0.0)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: list(iq.enumerate_valid_selections(-1)), r"^negative depth_l: -1$"),
+    (lambda: list(iq.enumerate_valid_selections(4)), r"^enumeration capped at depth 3: depth 4 has "),
+    (lambda: iq.brute_force_solve(iq.compute_increments(random_world(np.random.default_rng(0), 4)),
+                                  "min-rate", 0.0),
+     r"^brute force capped at depth 3 \(combinatorial blowup\)$"),
+], ids=["enumerate-negative", "enumerate-deep", "brute-force-deep"])
+def test_solver_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_depth_zero_enumeration_and_oracle():
+    assert list(iq.enumerate_valid_selections(0)) == [iq.TreeSelection(np.zeros(0, np.uint8))]
+    inc = iq.compute_increments(iq.world_from_cells(0, np.array([[0.25, 0.75]])))
+    result = iq.brute_force_solve(inc, "max-relevance", 1.0)
+    assert result.status == "optimal" and result.selection.z.size == 0
+    assert result.objective == 0.0
+
+
+@pytest.mark.parametrize("uniform_prior", [True, False], ids=["uniform", "weighted"])
+@pytest.mark.parametrize("depth_l", [0, 1, 2, 3])
+def test_infeasible_floor_gives_the_same_result_from_solver_and_oracle(depth_l, uniform_prior):
+    inc = iq.compute_increments(random_world(np.random.default_rng(depth_l), depth_l,
+                                             uniform_prior=uniform_prior))
+    d_hat = float(inc.delta_y.sum()) + 2 * TOL
+    for result in (iq.solve_min_rate(inc, d_hat), iq.brute_force_solve(inc, "min-rate", d_hat)):
+        assert result.status == "infeasible"
+        assert result.selection == iq.TreeSelection(np.zeros(inc.num_candidates, np.uint8))
+        assert (result.i_x, result.i_y, result.nodes_explored) == (0.0, 0.0, 0)
+        assert np.copysign(1.0, [result.i_x, result.i_y]).tolist() == [1.0, 1.0]
+        assert np.isnan(result.objective)
+
+
 def test_solver_matches_oracle_on_random_worlds():
     rng = np.random.default_rng(21)
     for trial in range(40):

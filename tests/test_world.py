@@ -301,7 +301,8 @@ def test_render_abstraction(tmp_path):
 def _render_worlds(rng, depth_l):
     """Maps whose leaf means often land exactly on a half gray level (i.i.d.
     and 2x2-blocky binary and gray maps, read the way load_pgm reads them),
-    and a blocky prior with zero-weight leaves, which take the fallback."""
+    and a blocky prior with zero-weight leaves, which take the fallback; each
+    of them also as a world of gray range 1000, which renders at that range."""
     side = 2 ** depth_l
     half = max(side // 2, 1)
 
@@ -310,11 +311,12 @@ def _render_worlds(rng, depth_l):
 
     binary = rng.integers(0, 2, (side, side)) * 255
     gray = rng.integers(0, 256, (side, side))
-    for grays in (binary, blocky(binary[:half, :half]), gray, blocky(gray[:half, :half])):
-        yield iq.world_from_grid(1.0 - grays / 255)
     weights = blocky(rng.random((half, half)) * (rng.random((half, half)) < 0.6))
     weights[0, 0] += 1.0 if not weights.any() else 0.0
-    yield iq.world_from_grid(1.0 - gray / 255, prior_grid=weights)
+    for maxval in (255, 1000):
+        for grays in (binary, blocky(binary[:half, :half]), gray, blocky(gray[:half, :half])):
+            yield iq.world_from_grid(1.0 - grays / 255, maxval=maxval)
+        yield iq.world_from_grid(1.0 - gray / 255, prior_grid=weights, maxval=maxval)
 
 
 @pytest.mark.parametrize("depth_l", range(7))
@@ -328,13 +330,62 @@ def test_render_matches_the_leaf_by_leaf_render(tmp_path, depth_l):
         selections = [iq.TreeSelection(np.zeros(n, np.uint8)), iq.TreeSelection(np.ones(n, np.uint8))]
         selections += [random_valid_selection(rng, depth_l, p) for p in (0.5, 0.8)]
         for sel in selections:
-            for maxval in (None, 1000):
-                iq.render_abstraction(tmp_path / "new.pgm", world, sel, maxval)
-                reference_render(tmp_path / "old.pgm", world, sel, maxval)
-                assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "old.pgm").read_bytes()
+            iq.render_abstraction(tmp_path / "new.pgm", world, sel)
+            reference_render(tmp_path / "old.pgm", world, sel)
+            assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "old.pgm").read_bytes()
 
 
 def test_render_rejects_invalid_selection(tmp_path):
     world = iq.world_from_grid(np.zeros((4, 4)))
     with pytest.raises(ValueError, match="invalid selection"):
         iq.render_abstraction(tmp_path / "r.pgm", world, iq.TreeSelection(np.array([0, 1, 0, 0, 0])))
+
+
+def _load_bytes(tmp_path, data: bytes):
+    path = tmp_path / "map.pgm"
+    path.write_bytes(data)
+    return iq.load_pgm(path)
+
+
+def _load_weights(tmp_path, text: str):
+    path = tmp_path / "prior.txt"
+    write_text(path, text)
+    return iq.load_prior(path, iq.world_from_grid(np.zeros((2, 2))))
+
+
+_THREE_SYMBOLS = iq.world_from_cells(1, np.full((4, 3), 1 / 3))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda tmp: iq.WorldMap(-1, 2, np.zeros((1, 2)), np.ones(1)), r"^negative depth_l: -1$"),
+    (lambda tmp: iq.WorldMap(1, 2, np.tile([0.5, 0.5], (4, 1)), np.full(3, 1 / 3)),
+     r"^cell_prior shape \(3,\) does not match \(4,\)$"),
+    (lambda tmp: _load_bytes(tmp, b"P2\n4 x4\n255\n"),
+     r"^malformed PGM header: invalid literal for int\(\) with base 10: b'x4'$"),
+    (lambda tmp: _load_bytes(tmp, b"P2\n0 4\n255\n"),
+     r"^malformed PGM header: non-positive dimensions$"),
+    (lambda tmp: _load_bytes(tmp, b"P5\n4 4\n255\n" + bytes(15)), r"^truncated PGM raster$"),
+    (lambda tmp: write_pgm(tmp / "out.pgm", _THREE_SYMBOLS),
+     r"^PGM output requires a binary relevance alphabet$"),
+    (lambda tmp: _load_weights(tmp, "1\n2\nheavy\n4\n"), r"^invalid weight on line 3: 'heavy'$"),
+    (lambda tmp: iq.world_from_grid(np.zeros((2, 4))), r"^grid must be square, got shape \(2, 4\)$"),
+    (lambda tmp: iq.render_abstraction(tmp / "r.pgm", _THREE_SYMBOLS,
+                                       iq.TreeSelection(np.zeros(1, np.uint8))),
+     r"^rendering requires a binary relevance alphabet$"),
+    (lambda tmp: iq.render_abstraction(tmp / "r.pgm", iq.world_from_grid(np.zeros((4, 4))),
+                                       iq.TreeSelection(np.zeros(1, np.uint8))),
+     r"^selection depth_l 1 does not match world 2$"),
+], ids=["negative-depth", "prior-shape", "header-token", "zero-width", "truncated-p5",
+        "pgm-three-symbols", "weight-line", "non-square-grid", "render-three-symbols",
+        "render-depth"])
+def test_world_rejects_bad_input(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)
+    assert not (tmp_path / "out.pgm").exists() and not (tmp_path / "r.pgm").exists()
+
+
+def test_load_prior_skips_blank_lines(tmp_path):
+    spaced = _load_weights(tmp_path, "\n1\n\n2\n  \n3\n4\n\n")
+    packed = _load_weights(tmp_path, "1\n2\n3\n4\n")
+    assert np.array_equal(spaced.cell_prior, packed.cell_prior)
+    assert packed.cell_prior.tolist() == [0.1, 0.2, 0.3, 0.4]
