@@ -7,7 +7,8 @@ and timing columns stay zero unless --timings is passed.  Exit codes: 0 ok,
 2 I/O or format error, a negative or NaN floor, budget or step, a bound of
 the program abstract does not solve, or a non-finite prior weight (argparse
 also exits 2 on a bad option, or on two bounds for one program).  A budget of
-inf sets no rate limit.
+inf sets no rate limit.  `main` parses with the one parser built at import;
+`build_parser` returns a fresh one.
 """
 
 from __future__ import annotations
@@ -266,8 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every command this process runs
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitExceeded as exc:

@@ -104,7 +104,7 @@ def trace_pareto(inc: IncrementVectors, eps_step: float = DEFAULT_EPS_STEP,
         if not first <= r < first + len(trees):
             first, trees = r, reconstruct(r)
         t2 = time.perf_counter()
-        selection = TreeSelection(trees[r - first].copy())
+        selection = TreeSelection(trees[r - first])
         # the next floor comes from these sums, not from the record's value:
         # the two can differ in the last bits
         i_x, i_y = tree_information(selection, inc)

@@ -112,7 +112,8 @@ class TreeSelection:
     z: np.ndarray
 
     def __post_init__(self):
-        z = _binary_vector(self.z)
+        # a frozen copy: the caller's array stays writable
+        z = _binary_vector(self.z, copy=True)
         depth_from_candidate_count(z.size)  # reject non-quadtree lengths
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
@@ -157,15 +158,16 @@ def expandable_parents(depth_l: int) -> set[NodeId]:
     return {NodeId(d, m) for d in range(max(depth_l - 1, 0)) for m in range(4 ** d)}
 
 
-def _binary_vector(values) -> np.ndarray:
+def _binary_vector(values, copy: bool = False) -> np.ndarray:
     """values as a contiguous uint8 vector, checked before the cast: one
-    dimension, and every entry exactly 0 or 1."""
+    dimension, and every entry exactly 0 or 1.  With copy, never the caller's
+    memory."""
     values = np.asarray(values)
     if values.ndim != 1:
         raise ValueError("selection vector must be one-dimensional")
     if values.size and not np.all((values == 0) | (values == 1)):
         raise ValueError("selection entries must be 0 or 1")
-    return np.ascontiguousarray(values, dtype=np.uint8)
+    return np.array(values, np.uint8) if copy else np.ascontiguousarray(values, np.uint8)
 
 
 def _as_z(selection, depth_l=None) -> np.ndarray:

@@ -45,7 +45,8 @@ class FractionalSelection:
             raise ValueError("fractional selection must be one-dimensional")
         if not np.all((z >= -_PRECEDENCE_SLACK) & (z <= 1.0 + _PRECEDENCE_SLACK)):
             raise ValueError("fractional entries must lie in [0, 1] up to 1e-9")
-        z = np.ascontiguousarray(z, dtype=np.float64)
+        # a frozen copy: the caller's array stays writable
+        z = np.array(z, dtype=np.float64)
         depth_from_candidate_count(z.size)
         if _orphans(z, _PRECEDENCE_SLACK).size:
             raise ValueError("fractional selection violates precedence beyond 1e-9")

@@ -182,43 +182,48 @@ def _seed(c, g, need) -> np.ndarray:
     whenever the row can spare them.
     """
     n = c.size
-    z = np.zeros(n, dtype=bool)
     take = np.flatnonzero((g > 0) | (c < 0))
     with np.errstate(divide="ignore"):
         order = take[np.argsort(c[take] / np.abs(g[take]), kind="stable")]
+    cs, gs = c.tolist(), g.tolist()
+    z = [False] * n
     covered = 0.0
     for idx in order.tolist():
         met = covered >= need
-        if z[idx] or (met and c[idx] >= 0):
+        if z[idx] or (met and cs[idx] >= 0):
             continue
-        chain = []
-        t = idx
+        chain, gain, t = [], 0.0, idx
         while t >= 0 and not z[t]:
             chain.append(t)
+            gain += gs[t]
             t = (t - 1) >> 2 if t else -1
-        gain = g[chain].sum()
+        if len(chain) >= 8:
+            # numpy sums fewer than 8 terms left to right, as the loop does,
+            # and 8 or more pairwise; the seed keeps numpy's bits
+            gain = float(g[chain].sum())
         if met and covered + gain < need:
             continue
-        z[chain] = True
+        for t in chain:
+            z[t] = True
         covered += gain
     if covered < need:  # numerical remainder: take everything
-        z[:] = True
+        z = [True] * n
         covered = float(g.sum())
     sel_idx = np.flatnonzero(z)
-    child_count = np.bincount((sel_idx[sel_idx > 0] - 1) >> 2, minlength=n)
-    heap = [(-float(c[i]), i) for i in sel_idx.tolist() if not child_count[i] and c[i] >= 0]
+    child_count = np.bincount((sel_idx[sel_idx > 0] - 1) >> 2, minlength=n).tolist()
+    heap = [(-cs[i], i) for i in sel_idx.tolist() if not child_count[i] and cs[i] >= 0]
     heapq.heapify(heap)
     while heap:
         _, idx = heapq.heappop(heap)
-        if covered - g[idx] >= need:
+        if covered - gs[idx] >= need:
             z[idx] = False
-            covered -= float(g[idx])
+            covered -= gs[idx]
             if idx:
                 parent = (idx - 1) >> 2
                 child_count[parent] -= 1
-                if not child_count[parent] and c[parent] >= 0:
-                    heapq.heappush(heap, (-float(c[parent]), parent))
-    return z.astype(np.uint8)
+                if not child_count[parent] and cs[parent] >= 0:
+                    heapq.heappush(heap, (-cs[parent], parent))
+    return np.array(z, dtype=np.uint8)
 
 
 def _pack_bits(z) -> bytes:
@@ -693,7 +698,7 @@ def _lattice_for(inc: IncrementVectors) -> _LatticeDP | None:
 def _result_from_z(z, inc: IncrementVectors, problem, nodes, t0, status="optimal") -> SolveResult:
     """The result of selection z for problem "min-rate" (objective i_x) or
     "max-relevance" (objective i_y); an "infeasible" one has a NaN objective."""
-    selection = TreeSelection(np.asarray(z, dtype=np.uint8))
+    selection = TreeSelection(z)
     i_x, i_y = tree_information(selection, inc)
     objective = i_x if problem == "min-rate" else i_y
     if status == "infeasible":

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import infoquad as iq
+from infoquad import cli
 from infoquad.cli import main
 from helpers import READER_CASES, reader_case_document, write_text
 
@@ -436,17 +438,82 @@ def test_documented_names_are_reachable_from_the_package():
     assert iq.trace_pareto.__defaults__[0] == iq.DEFAULT_EPS_STEP
 
 
+def _fresh_env():
+    """Environment for a fresh interpreter that imports this infoquad, with
+    argparse's help width pinned to 80 columns."""
+    src = str(Path(iq.__file__).resolve().parents[1])
+    return {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+def _fresh_cli(argv, cwd):
+    """`python -m infoquad.cli argv` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "infoquad.cli", *argv], cwd=cwd,
+                          env=_fresh_env(), capture_output=True, text=True)
+
+
 def test_import_does_not_load_scipy():
     # scipy is a test-only dependency; importing it costs most of the CLI's
     # start-up time and memory
     code = ("import sys, infoquad, infoquad.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(iq.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_entry_point_prints_the_parsers_help(tmp_path, monkeypatch):
+    """`python -m infoquad.cli`, like the `infoquad` script that
+    pyproject.toml declares, runs cli.main: --help prints what build_parser
+    formats, and no command exits 2."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^infoquad = "infoquad\.cli:main"$', pyproject, re.M)
+    monkeypatch.setenv("COLUMNS", "80")
+    run = _fresh_cli(["--help"], tmp_path)
+    assert (run.returncode, run.stdout, run.stderr) == (0, cli.build_parser().format_help(), "")
+    run = _fresh_cli([], tmp_path)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.endswith("error: the following arguments are required: command\n")
+
+
+def test_one_parser_serves_every_command_of_a_process(iid8, tmp_path, capsys, monkeypatch):
+    """main parses with the parser built at import and never builds another;
+    commands run one after another in one process, bad ones among them, exit,
+    print and write what a fresh interpreter does for each."""
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    monkeypatch.setenv("COLUMNS", "80")
+    pgm, prior = iid8
+    given = ["--input", str(pgm), "--prior", str(prior)]
+    commands = [
+        ["abstract", *given, "--mode", "min-rate", "--dhat-frac", "0.8",
+         "--out", "min.json", "--render", "min.pgm"],
+        ["abstract", *given, "--mode", "max-relevance", "--budget-frac", "0.5",
+         "--out", "max.json"],
+        ["abstract", *given, "--mode", "min-rate", "--dhat", "0", "--no-such-option"],
+        ["abstract", *given, "--mode", "min-rate", "--dhat", "0", "--node-limit", "abc"],
+        ["validate", "--tree", "min.json", *given],
+        ["pareto", *given, "--out", "pareto.csv"],
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    ran = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        ran.append((code, *capsys.readouterr()))
+    assert [code for code, _, _ in ran] == [0, 0, 2, 2, 0, 0]
+    runs = [_fresh_cli(argv, fresh) for argv in commands]
+    assert ran == [(run.returncode, run.stdout, run.stderr) for run in runs]
+    written = {path.name: path.read_bytes() for path in here.iterdir()}
+    assert sorted(written) == ["max.json", "min.json", "min.pgm", "pareto.csv"]
+    assert written == {path.name: path.read_bytes() for path in fresh.iterdir()}
 
 
 def test_increments_csv(quad_pgm, tmp_path):

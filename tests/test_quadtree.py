@@ -19,6 +19,7 @@ from infoquad.quadtree import (
     selection_from_nodes,
     write_tree_json,
 )
+from infoquad.relaxation import FractionalSelection
 from helpers import (
     READER_CASES,
     random_valid_selection,
@@ -101,6 +102,17 @@ def test_depth_from_candidate_count_accepts_exactly_the_full_counts():
 def test_quadtree_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("make,dtype", [(TreeSelection, np.uint8),
+                                        (FractionalSelection, np.float64)],
+                         ids=["tree", "fractional"])
+def test_selections_freeze_a_copy_not_the_callers_array(make, dtype):
+    a = np.zeros(5, dtype)
+    selection = make(a)
+    assert selection.z is not a and not selection.z.flags.writeable
+    a[1] = 1
+    assert selection.z[1] == 0
 
 
 @pytest.mark.parametrize("depth_l,expected", [(1, 0), (2, 1), (3, 5)])

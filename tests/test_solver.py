@@ -468,8 +468,8 @@ def test_search_leaves_the_recursion_limit_alone(monkeypatch):
 
 def test_seed_matches_the_cover_and_pack_references():
     """The covering-form greedy seed equals both direct-form seeds exactly, on
-    random vectors with zero entries and tied ratios and on weighted worlds
-    with and without zero-weight cells."""
+    random vectors with zero entries and tied ratios, on weighted worlds
+    with and without zero-weight cells, and on chains of 5 to 8 candidates."""
     rng = np.random.default_rng(94)
     cases = []
     for trial in range(800):
@@ -492,6 +492,20 @@ def test_seed_matches_the_cover_and_pack_references():
         caps = [0.0, *(f * a.sum() for f in (0.05, 0.3, 0.7, 1.0)), a.sum() + iq.TOL,
                 float(a[rng.random(a.size) < 0.5].sum())]
         for need, cap in zip(needs, caps):
+            assert np.array_equal(_seed(a, b, need), reference_seed_cover(a, b, need))
+            assert np.array_equal(_seed(-b, -a, -cap), reference_seed_pack(b, a, cap))
+    # both programs take first the chain from a costless candidate at depth
+    # l - 1 up to the root; a floor or cap of exactly numpy's sum of it tells
+    # apart any other order of summation, and at depth 8 numpy sums the 8
+    # terms pairwise, not left to right
+    for depth_l, trials in ((5, 3), (6, 3), (7, 3), (8, 10)):
+        for _ in range(trials):
+            a, b = rng.random(depth_offset(depth_l)), rng.random(depth_offset(depth_l))
+            chain = [int(rng.integers(depth_offset(depth_l - 1), a.size))]
+            while chain[-1]:
+                chain.append((chain[-1] - 1) >> 2)
+            a[chain[0]] = 0.0
+            need, cap = float(b[chain].sum()), float(a[chain].sum())
             assert np.array_equal(_seed(a, b, need), reference_seed_cover(a, b, need))
             assert np.array_equal(_seed(-b, -a, -cap), reference_seed_pack(b, a, cap))
 
