@@ -26,7 +26,7 @@ points = iq.trace_pareto(inc)
 print(f"4x4 world: {len(points)} Pareto-optimal value pairs")
 print("  rate (nats)   relevance (nats)   leaves")
 for p in points:
-    print(f"  {p.d_star:11.6f}   {p.d_hat_star:16.6f}   {p.selection.leaf_count:6d}")
+    print(f"  {p.d_star:11.6f}   {p.d_hat_star:16.6f}   {p.leaf_count:6d}")
 
 # enumeration cross-check: dominance-filter all 17 valid trees
 pairs = [iq.tree_information(sel, inc) for sel in iq.enumerate_valid_selections(2)]

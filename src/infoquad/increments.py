@@ -174,6 +174,12 @@ def tree_information(selection: TreeSelection, inc: IncrementVectors) -> tuple[f
             f"length mismatch: selection has {z.size} candidates, "
             f"increments have {inc.num_candidates}"
         )
+    return _information(z, inc)
+
+
+def _information(z: np.ndarray, inc: IncrementVectors) -> tuple[float, float]:
+    """The two dot products of tree_information on a 0/1 vector of the
+    increments' length, unchecked; the package's one information sum."""
     zf = z.astype(np.float64)
     return float(zf @ inc.delta_x), float(zf @ inc.delta_y)
 

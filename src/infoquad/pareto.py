@@ -13,8 +13,12 @@ cost ascending and relevance strictly rising, which one solver call gives for
 either prior: the strict prefix records of the rate-class lattice's root
 table (the maximal relevance of every integer rate class) with a uniform
 prior, and the root list of one unpruned Pareto-list merge with a weighted
-one.  Records are reconstructed in batched level-by-level passes.  The CSV is
-written by write_csv, the one writer of every CSV the package makes.
+one.  Records are reconstructed in batched level-by-level passes, and each
+batch's leaf counts and packed bits are taken once for the whole batch; per
+point the sweep only sums the tree's information.  A point holds its tree as
+those packed bits, one bit per candidate, and unpacks a TreeSelection only
+when its selection is read.  The CSV is written by write_csv, the one writer
+of every CSV the package makes.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .increments import IncrementVectors, tree_information, write_csv
+from .increments import IncrementVectors, _information, write_csv
 from .quadtree import TreeSelection
 from .solver import DEFAULT_NODE_LIMIT, TOL, _frontier_records
 
@@ -45,14 +49,23 @@ DEFAULT_EPS_STEP = 2 * TOL
 
 @dataclass(frozen=True)
 class ParetoPoint:
-    """A (rate, relevance) pair on the frontier with a witnessing tree."""
+    """A (rate, relevance) pair on the frontier with its leaf count and a
+    witnessing tree, held as the np.packbits bytes of its selection vector."""
 
     d_star: float
     d_hat_star: float
-    selection: TreeSelection
+    leaf_count: int
+    tree_bits: bytes
+    num_candidates: int
     d_hat_query: float = 0.0
     stage1_ms: float = 0.0
     stage2_ms: float = 0.0
+
+    @property
+    def selection(self) -> TreeSelection:
+        """The witnessing tree, unpacked afresh on every access."""
+        bits = np.frombuffer(self.tree_bits, dtype=np.uint8)
+        return TreeSelection(np.unpackbits(bits, count=self.num_candidates))
 
 
 def is_dominated(a, b) -> bool:
@@ -77,9 +90,11 @@ def trace_pareto(inc: IncrementVectors, eps_step: float = DEFAULT_EPS_STEP,
 
     The points are replayed over records: the lattice root's with a uniform
     prior, the root list of one unpruned merge, which node_limit bounds, with
-    a weighted one.  stage1_ms is a point's record lookup and information
-    sums, and stage2_ms the batched reconstruction its lookup started (0 when
-    an earlier batch already held its tree).
+    a weighted one.  Each reconstructed batch has its leaf counts and packed
+    trees taken at once; a point then costs a record lookup and its two
+    information sums, and builds no TreeSelection.  stage1_ms is a point's
+    lookup and sums, and stage2_ms the batch its lookup started (0 when an
+    earlier batch already held its tree).
     """
     if not eps_step > TOL:
         raise ValueError(
@@ -88,8 +103,10 @@ def trace_pareto(inc: IncrementVectors, eps_step: float = DEFAULT_EPS_STEP,
     costs, values, reconstruct = _frontier_records(inc, node_limit)
     costs, values = costs.tolist(), values.tolist()
     total = float(inc.delta_y.sum())
-    # the records reconstruct(first) gave, one tree per row
-    first, trees = 0, np.zeros((0, inc.num_candidates), dtype=np.uint8)
+    n = inc.num_candidates
+    # the records reconstruct(first) gave, one tree per row; each batch's
+    # leaf counts and packed bits are taken with it
+    first, trees = 0, np.zeros((0, n), dtype=np.uint8)
     points: list[ParetoPoint] = []
     query = 0.0
     while True:
@@ -103,16 +120,19 @@ def trace_pareto(inc: IncrementVectors, eps_step: float = DEFAULT_EPS_STEP,
         t1 = time.perf_counter()
         if not first <= r < first + len(trees):
             first, trees = r, reconstruct(r)
+            leaves = (1 + 3 * trees.sum(axis=1)).tolist()
+            packed = np.packbits(trees, axis=1)
         t2 = time.perf_counter()
-        selection = TreeSelection(trees[r - first])
+        i = r - first
         # the next floor comes from these sums, not from the record's value:
         # the two can differ in the last bits
-        i_x, i_y = tree_information(selection, inc)
+        i_x, i_y = _information(trees[i], inc)
         t3 = time.perf_counter()
         if points and i_y <= points[-1].d_hat_star + 1e-15:
             break  # floating-point guard; cannot happen for eps_step > tol
         points.append(ParetoPoint(
-            d_star=i_x, d_hat_star=i_y, selection=selection, d_hat_query=query,
+            d_star=i_x, d_hat_star=i_y, leaf_count=leaves[i],
+            tree_bits=packed[i].tobytes(), num_candidates=n, d_hat_query=query,
             stage1_ms=(t1 - t0 + t3 - t2) * 1e3, stage2_ms=(t2 - t1) * 1e3,
         ))
         if i_y >= total - TOL:
@@ -128,7 +148,7 @@ def write_pareto_csv(path, points, include_timings: bool = False):
     """
     write_csv(
         path, ["d_hat_query", "i_x_nats", "i_y_nats", "leaf_count", "stage1_ms", "stage2_ms"],
-        [[p.d_hat_query, p.d_star, p.d_hat_star, p.selection.leaf_count,
+        [[p.d_hat_query, p.d_star, p.d_hat_star, p.leaf_count,
           p.stage1_ms if include_timings else 0.0, p.stage2_ms if include_timings else 0.0]
          for p in points],
     )

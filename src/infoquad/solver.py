@@ -511,6 +511,7 @@ class _LatticeDP:
         self.full_widths = [(depth_l - d) * 4 ** (depth_l - 1 - d) + 1 for d in range(depth_l)]
         self.top = self.full_widths[0] - 1     # the class of the whole tree
         self.k_cap = -1                         # nothing tabulated yet
+        self.rises = None                       # _rises of both L[1] rows, once read
         # per row: its tree, and split scans of at most 4^d * width(L[2d+1])
         # entries at depth d
         per_row = max([num_candidates(depth_l)] + [
@@ -533,6 +534,7 @@ class _LatticeDP:
         self.L: list[np.ndarray] = [None] * (2 * depth_l) + [np.zeros((4 ** depth_l, 1))]
         for h in range(2 * depth_l - 1, 0, -1):
             self._merge(h)
+        self.rises = None
 
     def _merge(self, h: int) -> None:
         """Half-level h from the row pairs of half-level h + 1."""
@@ -580,10 +582,11 @@ class _LatticeDP:
         if j_cap < 0:
             return None
         self.tabulate(k_cap)
-        m12, m34 = self.L[1]
-        # an entry of either half below an earlier one starts no cheapest pair
-        i, u = _rises(m12)
-        j, w = _rises(m34)
+        # an entry of either half below an earlier one starts no cheapest pair;
+        # the rises are kept until the tables are rebuilt
+        if self.rises is None:
+            self.rises = tuple(map(_rises, self.L[1]))
+        (i, u), (j, w) = self.rises
         last = j.size - 1
         r = _first_partner(self.b[0], u, w, value)
         # an i whose first reaching partner lies past the cap has none below it

@@ -135,7 +135,9 @@ def _read_pgm(path) -> tuple[np.ndarray, int]:
             pixels = np.array(list(map(int, tokens[:count])), dtype=np.int64)
         except ValueError:
             raise ValueError("truncated PGM raster") from None
-    if np.any(pixels > maxval) or np.any(pixels < 0):
+    if np.any(pixels < 0):
+        raise ValueError("negative pixel value")
+    if np.any(pixels > maxval):
         raise ValueError("pixel value exceeds maxval")
     return pixels.reshape(height, width), maxval
 

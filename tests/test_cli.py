@@ -107,6 +107,10 @@ def test_abstract_bad_pgm_exits_two(tmp_path, capsys):
     code = main(["abstract", "--input", str(path), "--mode", "min-rate", "--dhat", "0"])
     assert code == 2
     assert "power of two" in capsys.readouterr().err
+    write_text(path, "P2\n2 2\n255\n0 -1 3 4\n")
+    code = main(["abstract", "--input", str(path), "--mode", "min-rate", "--dhat", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: negative pixel value\n"
 
 
 @pytest.mark.parametrize("bounds", [

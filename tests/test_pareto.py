@@ -1,3 +1,4 @@
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 import infoquad as iq
 from infoquad import pareto, solver
+from infoquad.cli import main
 from infoquad.solver import _lattice_for
-from helpers import blob_world, quadrant_world, random_world, reference_reconstruct
+from helpers import blob_world, quadrant_world, random_world, reference_reconstruct, write_text
 
 
 @lru_cache(maxsize=None)
@@ -257,3 +259,76 @@ def test_weighted_trace_fails_fast_at_its_node_limit():
     assert _lattice_for(inc) is None
     with pytest.raises(iq.ResourceLimitExceeded, match="node limit of 1000"):
         iq.trace_pareto(inc, node_limit=1000)
+
+
+def pareto_inputs(tmp_path, weighted):
+    """A 16x16 i.i.d. gray map (85 candidates), or an 8x8 one (21) with a
+    log-normal prior file: the CLI arguments naming it, and its world."""
+    side = 8 if weighted else 16
+    rng = np.random.default_rng(side)
+    pgm = tmp_path / f"iid{side}.pgm"
+    write_text(pgm, f"P2\n{side} {side}\n255\n" + "\n".join(
+        " ".join(map(str, row)) for row in rng.integers(0, 256, (side, side))) + "\n")
+    args, world = ["--input", str(pgm)], iq.load_pgm(pgm)
+    if weighted:
+        prior = tmp_path / f"iid{side}.prior"
+        write_text(prior, "\n".join(
+            map(repr, np.exp(rng.normal(0, 0.5, side * side)).tolist())) + "\n")
+        args, world = args + ["--prior", str(prior)], iq.load_prior(prior, world)
+    return args, world
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform16", "weighted8"])
+def test_cli_trace_builds_no_selection_per_point(tmp_path, monkeypatch, weighted):
+    """A CLI pareto builds no TreeSelection, and makes one unchecked
+    information sum per point, off the lattice and off the weighted lists."""
+    args, _ = pareto_inputs(tmp_path, weighted)
+    built, sums = [], []
+    selection_class, information = pareto.TreeSelection, pareto._information
+
+    def counted_selection(*a, **k):
+        built.append(a)
+        return selection_class(*a, **k)
+
+    def counted_information(*a, **k):
+        sums.append(a)
+        return information(*a, **k)
+
+    monkeypatch.setattr(pareto, "TreeSelection", counted_selection)
+    monkeypatch.setattr(pareto, "_information", counted_information)
+    out = tmp_path / "pareto.csv"
+    assert main(["pareto", *args, "--out", str(out)]) == 0
+    rows = len(out.read_text().splitlines()) - 1
+    assert rows > 20
+    assert built == []
+    assert len(sums) == rows
+
+
+@pytest.mark.parametrize("weighted, eps_step", [
+    (False, iq.pareto.DEFAULT_EPS_STEP), (True, iq.pareto.DEFAULT_EPS_STEP), (False, 0.01),
+], ids=["uniform16", "weighted8", "uniform16-coarse"])
+def test_cli_csv_is_one_sweep_through_one_writer(tmp_path, weighted, eps_step):
+    """The CLI's CSV is the library trace written by write_pareto_csv, byte
+    for byte, and every point's leaf count and unpacked tree are those of a
+    fresh reconstruction of the record its floor looks up.  No candidate
+    count here is a multiple of 8, so the unpacking's count matters."""
+    args, world = pareto_inputs(tmp_path, weighted)
+    cli_csv, lib_csv = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    assert main(["pareto", *args, "--eps-step", repr(eps_step), "--out", str(cli_csv)]) == 0
+    inc = iq.compute_increments(world)
+    assert inc.num_candidates % 8
+    points = iq.trace_pareto(inc, eps_step=eps_step)
+    iq.write_pareto_csv(lib_csv, points)
+    assert cli_csv.read_bytes() == lib_csv.read_bytes()
+    costs, values, reconstruct = solver._frontier_records(inc, solver.DEFAULT_NODE_LIMIT)
+    costs, values = costs.tolist(), values.tolist()
+    for p in points:
+        q = p.d_hat_query
+        r = min(bisect_left(values, q - solver.TOL), len(values) - 1)
+        if q - solver.TOL > 0:
+            r = bisect_right(costs, costs[r] + solver.TOL) - 1
+        selection = p.selection
+        assert selection == iq.TreeSelection(reconstruct(r)[0])
+        assert p.leaf_count == selection.leaf_count
+        assert (p.d_star, p.d_hat_star) == iq.tree_information(selection, inc)
+        assert p.selection is not selection   # unpacked afresh, nothing cached

@@ -144,6 +144,9 @@ def test_load_pgm_comment_hides_raster_tail(tmp_path):
     write_text(path, "P2\n2 2\n255\n0 0 256 0\n")
     with pytest.raises(ValueError, match="pixel value exceeds maxval"):
         iq.load_pgm(path)
+    write_text(path, "P2\n2 2\n255\n0 -1 3 4\n")
+    with pytest.raises(ValueError, match="negative pixel value"):
+        iq.load_pgm(path)
 
 
 def test_pgm_roundtrip_bit_exact(tmp_path):
