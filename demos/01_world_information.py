@@ -45,7 +45,7 @@ print("per-node increments (depth, morton, mass, delta_x, delta_y):")
 stats = iq.compute_node_stats(world)
 inc = iq.compute_increments(world)
 for i, node in enumerate(iq.interior_candidates(world.depth_l)):
-    mass = stats.node(node).mass
+    mass = stats.masses[node.depth][node.morton]
     print(f"  ({node.depth}, {node.morton})  mass={mass:.4f}  "
           f"dx={inc.delta_x[i]:.6f}  dy={inc.delta_y[i]:.6f}")
 print()

@@ -8,12 +8,9 @@ achievable value pairs, and an LP relaxation with threshold rounding.
 
 from .increments import (
     IncrementVectors,
-    NodeStats,
     TreeStats,
     compute_increments,
     compute_node_stats,
-    node_delta_x,
-    node_delta_y,
     tree_information,
     write_increments_csv,
 )
@@ -75,9 +72,8 @@ __all__ = [
     "is_valid_selection", "leaves_of", "encoder_of", "selection_from_nodes",
     "read_tree_json", "write_tree_json", "MalformedTreeDocument",
     "entropy", "kl_divergence", "js_divergence", "direct_tree_information",
-    "NodeStats", "TreeStats", "IncrementVectors", "compute_node_stats",
-    "node_delta_x", "node_delta_y", "compute_increments", "tree_information",
-    "write_increments_csv",
+    "TreeStats", "IncrementVectors", "compute_node_stats", "compute_increments",
+    "tree_information", "write_increments_csv",
     "SolveResult", "ResourceLimitExceeded", "solve_min_rate", "solve_max_relevance",
     "enumerate_valid_selections", "brute_force_solve", "count_valid_selections",
     "TOL", "DEFAULT_NODE_LIMIT",

@@ -14,36 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infotheory import js_divergence
-from .quadtree import NodeId, TreeSelection, _coordinates, depth_offset, num_candidates
+from .quadtree import TreeSelection, _coordinates, depth_offset, num_candidates
 from .world import WorldMap
 
 __all__ = [
-    "NodeStats",
     "TreeStats",
     "IncrementVectors",
     "compute_node_stats",
-    "node_delta_x",
-    "node_delta_y",
     "compute_increments",
     "tree_information",
     "increment_rows",
     "write_increments_csv",
     "write_csv",
-    "MASS_TOL",
     "FLOAT_FMT",
 ]
 
-MASS_TOL = 1e-9
 FLOAT_FMT = ".12g"  # every CSV and printed float: 12 significant digits, byte-deterministic
-
-
-@dataclass(frozen=True)
-class NodeStats:
-    """Mass p(t) and relevance p(y|t) of one node; relevance is None at zero mass."""
-
-    mass: float
-    relevance: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,15 +39,6 @@ class TreeStats:
     depth_l: int
     masses: list[np.ndarray]   # masses[d] has shape (4^d,)
     joints: list[np.ndarray]   # joints[d] has shape (4^d, |Y|)
-
-    def node(self, node_id: NodeId) -> NodeStats:
-        mass = float(self.masses[node_id.depth][node_id.morton])
-        if mass <= 0:
-            return NodeStats(mass, None)
-        return NodeStats(mass, self.joints[node_id.depth][node_id.morton] / mass)
-
-    def children(self, node_id: NodeId) -> list[NodeStats]:
-        return [self.node(c) for c in node_id.children()]
 
 
 def compute_node_stats(world: WorldMap) -> TreeStats:
@@ -74,37 +51,6 @@ def compute_node_stats(world: WorldMap) -> TreeStats:
         masses[d] = masses[d + 1].reshape(-1, 4).sum(axis=1)
         joints[d] = joints[d + 1].reshape(-1, 4, world.y_alphabet_size).sum(axis=1)
     return TreeStats(world.depth_l, masses, joints)
-
-
-def _check_mass(parent: NodeStats, children) -> np.ndarray:
-    child_mass = np.array([c.mass for c in children], dtype=np.float64)
-    if abs(child_mass.sum() - parent.mass) > MASS_TOL:
-        raise ValueError(
-            f"mass mismatch: children sum to {child_mass.sum()!r}, parent is {parent.mass!r}"
-        )
-    return child_mass
-
-
-def node_delta_x(parent: NodeStats, children) -> float:
-    """Rate gained by expanding the node: p(t) * H(Pi), zero at zero mass."""
-    child_mass = _check_mass(parent, children)
-    if parent.mass <= 0:
-        return 0.0
-    pos = child_mass[child_mass > 0]
-    return float(-(pos * np.log(pos / parent.mass)).sum())
-
-
-def node_delta_y(parent: NodeStats, children) -> float:
-    """Relevant information gained by expanding the node: p(t) * JS_Pi(children)."""
-    child_mass = _check_mass(parent, children)
-    if parent.mass <= 0:
-        return 0.0
-    keep = child_mass > 0
-    if keep.sum() <= 1:
-        return 0.0
-    weights = child_mass[keep] / child_mass[keep].sum()
-    dists = np.vstack([c.relevance for c, k in zip(children, keep) if k])
-    return parent.mass * js_divergence(weights, dists)
 
 
 def _weighted_entropy(joint: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -145,10 +91,10 @@ class IncrementVectors:
 def compute_increments(world: WorldMap) -> IncrementVectors:
     """Both increment vectors in one bottom-up pass, O(4^l * |Y|).
 
-    Vectorized equivalent of applying node_delta_x / node_delta_y at every
-    candidate: delta_x through p(t)ln p(t) - sum_c p(c)ln p(c), delta_y through
-    the mixture-entropy form of the weighted JS divergence, written on the
-    joint vectors p(t, y) so zero-mass children drop out without special cases.
+    Every candidate's p(t) H(Pi) and p(t) JS_Pi(child relevances) at once:
+    delta_x through p(t)ln p(t) - sum_c p(c)ln p(c), delta_y through the
+    mixture-entropy form of the weighted JS divergence, written on the joint
+    vectors p(t, y) so zero-mass children drop out without special cases.
     """
     stats = compute_node_stats(world)
     n = num_candidates(world.depth_l)
@@ -174,14 +120,18 @@ def tree_information(selection: TreeSelection, inc: IncrementVectors) -> tuple[f
             f"length mismatch: selection has {z.size} candidates, "
             f"increments have {inc.num_candidates}"
         )
-    return _information(z, inc)
+    i_x, i_y = _information(z[None], inc)
+    return float(i_x[0]), float(i_y[0])
 
 
-def _information(z: np.ndarray, inc: IncrementVectors) -> tuple[float, float]:
-    """The two dot products of tree_information on a 0/1 vector of the
-    increments' length, unchecked; the package's one information sum."""
-    zf = z.astype(np.float64)
-    return float(zf @ inc.delta_x), float(zf @ inc.delta_y)
+def _information(z: np.ndarray, inc: IncrementVectors) -> tuple[np.ndarray, np.ndarray]:
+    """The two dot products of tree_information for each row of a 0/1
+    matrix of the increments' width, unchecked; the package's one
+    information sum.  A stack of 1 x n by n x 1 products takes one vector
+    dot per row, so each row's sums are bit for bit those of the row alone,
+    whatever else the batch holds."""
+    zf = z.astype(np.float64)[:, None, :]
+    return (zf @ inc.delta_x[:, None]).ravel(), (zf @ inc.delta_y[:, None]).ravel()
 
 
 def increment_rows(world: WorldMap):
@@ -205,12 +155,30 @@ def write_increments_csv(path, world: WorldMap):
 
 def write_csv(path, header, rows):
     """Write a header and rows as CSV with csv's \\r\\n line ends: floats as
-    FLOAT_FMT, booleans as true/false and any other cell as csv writes it."""
+    FLOAT_FMT, booleans as true/false and any other cell as csv writes it.
+    Each column is formatted at once; when every column holds only floats,
+    booleans or ints, whose text needs no quoting, the rows are joined
+    without the csv module."""
+    formatted = [_format_column(cells) for cells in zip(*rows)]
+    columns = [cells for _, cells in formatted]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(
-            [format(v, FLOAT_FMT) if isinstance(v, float)
-             else ("true" if v else "false") if isinstance(v, bool) else v for v in row]
-            for row in rows
-        )
+        if all(plain for plain, _ in formatted):
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+        else:
+            writer.writerows(zip(*columns))
+
+
+def _format_column(cells):
+    """(plain, cells): a column's cells as write_csv writes them, formatted
+    by one formatter when they are all floats, all booleans or all ints."""
+    kinds = set(map(type, cells))
+    if all(issubclass(t, float) for t in kinds):
+        return True, list(map(f"{{:{FLOAT_FMT}}}".format, cells))
+    if kinds == {bool}:
+        return True, ["true" if v else "false" for v in cells]
+    if kinds == {int}:
+        return True, list(map(str, cells))
+    return False, [format(v, FLOAT_FMT) if isinstance(v, float)
+                   else ("true" if v else "false") if isinstance(v, bool) else v for v in cells]

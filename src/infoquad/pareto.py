@@ -14,11 +14,11 @@ either prior: the strict prefix records of the rate-class lattice's root
 table (the maximal relevance of every integer rate class) with a uniform
 prior, and the root list of one unpruned Pareto-list merge with a weighted
 one.  Records are reconstructed in batched level-by-level passes, and each
-batch's leaf counts and packed bits are taken once for the whole batch; per
-point the sweep only sums the tree's information.  A point holds its tree as
-those packed bits, one bit per candidate, and unpacks a TreeSelection only
-when its selection is read.  The CSV is written by write_csv, the one writer
-of every CSV the package makes.
+batch's leaf counts, packed bits and information sums are taken once for the
+whole batch; per point the sweep only looks its record up.  A point holds
+its tree as those packed bits, one bit per candidate, and unpacks a
+TreeSelection only when its selection is read.  The CSV is written by
+write_csv, the one writer of every CSV the package makes.
 """
 
 from __future__ import annotations
@@ -90,11 +90,12 @@ def trace_pareto(inc: IncrementVectors, eps_step: float = DEFAULT_EPS_STEP,
 
     The points are replayed over records: the lattice root's with a uniform
     prior, the root list of one unpruned merge, which node_limit bounds, with
-    a weighted one.  Each reconstructed batch has its leaf counts and packed
-    trees taken at once; a point then costs a record lookup and its two
-    information sums, and builds no TreeSelection.  stage1_ms is a point's
-    lookup and sums, and stage2_ms the batch its lookup started (0 when an
-    earlier batch already held its tree).
+    a weighted one.  Each reconstructed batch has its leaf counts, packed
+    trees and information sums taken at once; a point then costs a record
+    lookup, and builds no TreeSelection.  stage1_ms is a point's lookup, and
+    stage2_ms the batch its lookup started: the trees' reconstruction, leaf
+    counts, packed bits and sums (0 when an earlier batch already held its
+    tree).
     """
     if not eps_step > TOL:
         raise ValueError(
@@ -105,10 +106,10 @@ def trace_pareto(inc: IncrementVectors, eps_step: float = DEFAULT_EPS_STEP,
     total = float(inc.delta_y.sum())
     n = inc.num_candidates
     # the records reconstruct(first) gave, one tree per row; each batch's
-    # leaf counts and packed bits are taken with it
-    first, trees = 0, np.zeros((0, n), dtype=np.uint8)
+    # leaf counts, packed bits and information sums are taken with it
+    first = last = 0
     points: list[ParetoPoint] = []
-    query = 0.0
+    query, i_y = 0.0, None
     while True:
         # the first record meeting the floor within TOL (else the last), then,
         # as solve_min_rate breaks rate ties, the last within TOL of its cost;
@@ -117,24 +118,24 @@ def trace_pareto(inc: IncrementVectors, eps_step: float = DEFAULT_EPS_STEP,
         r = min(bisect_left(values, query - TOL), len(values) - 1)
         if query - TOL > 0:
             r = bisect_right(costs, costs[r] + TOL) - 1
-        t1 = time.perf_counter()
-        if not first <= r < first + len(trees):
-            first, trees = r, reconstruct(r)
+        t1 = t2 = time.perf_counter()
+        if not first <= r < last:
+            trees = reconstruct(r)
+            first, last = r, r + len(trees)
             leaves = (1 + 3 * trees.sum(axis=1)).tolist()
             packed = np.packbits(trees, axis=1)
-        t2 = time.perf_counter()
+            # the next floor comes from these sums, not from the record's
+            # value: the two can differ in the last bits
+            i_xs, i_ys = (v.tolist() for v in _information(trees, inc))
+            t2 = time.perf_counter()
         i = r - first
-        # the next floor comes from these sums, not from the record's value:
-        # the two can differ in the last bits
-        i_x, i_y = _information(trees[i], inc)
-        t3 = time.perf_counter()
-        if points and i_y <= points[-1].d_hat_star + 1e-15:
+        if i_y is not None and i_ys[i] <= i_y + 1e-15:
             break  # floating-point guard; cannot happen for eps_step > tol
-        points.append(ParetoPoint(
-            d_star=i_x, d_hat_star=i_y, leaf_count=leaves[i],
-            tree_bits=packed[i].tobytes(), num_candidates=n, d_hat_query=query,
-            stage1_ms=(t1 - t0 + t3 - t2) * 1e3, stage2_ms=(t2 - t1) * 1e3,
-        ))
+        i_y = i_ys[i]
+        # positional, in field order: d_star, d_hat_star, leaf_count,
+        # tree_bits, num_candidates, d_hat_query, stage1_ms, stage2_ms
+        points.append(ParetoPoint(i_xs[i], i_y, leaves[i], packed[i].tobytes(), n, query,
+                                  (t1 - t0) * 1e3, (t2 - t1) * 1e3))
         if i_y >= total - TOL:
             break
         query = min(i_y + eps_step, total)

@@ -55,7 +55,9 @@ trace reads the whole root table.  Rate classes are at least ln(4)/4^(l-1)
 nats apart (3.4e-4 at depth 7), so the 1e-9 feasibility tolerance never
 straddles two classes.  The reconstruction splits each merged class at the
 smallest index where its two halves sum largest, the sum the merge stored;
-among tied trees that need not give the lexicographically smallest one.
+among tied trees that need not give the lexicographically smallest one.  The
+trace's tabulation records those indices as it merges, and rebuilds its
+batches of trees by gathers; a one-shot solve scans for its one tree's.
 """
 
 from __future__ import annotations
@@ -424,38 +426,45 @@ def _frontier_records(inc: IncrementVectors, node_limit: int):
     tree: the strict prefix records of the lattice's root table with a
     uniform prior, rate classes as costs, else the root list of one unpruned
     merge, which node_limit bounds.  reconstruct(r) gives the trees of a
-    batch of records from record r on.  The records hold the first class
-    meeting any floor, and the argmax fallback that solve_min_rate takes."""
+    batch of records from record r on, _BATCH_ELEMENTS tree entries at most.
+    The records hold the first class meeting any floor, and the argmax
+    fallback that solve_min_rate takes."""
+    batch = max(1, _BATCH_ELEMENTS // max(inc.num_candidates, 1))
     lattice = _lattice_for(inc)
     if lattice is not None:
         rec, values = _rises(lattice.root)
-        return rec, values, lambda r: lattice.reconstruct_many(rec[r:r + lattice.batch_rows])
+        return rec, values, lambda r: lattice.reconstruct_many(rec[r:r + batch])
     depth_l = depth_from_candidate_count(inc.num_candidates)
     if depth_l == 0:
         return np.zeros(1), np.zeros(1), lambda r: np.zeros((1, 0), dtype=np.uint8)
     pts, levels, _ = _merge_lists(inc.delta_x, inc.delta_y, depth_l, node_limit)
     rec = _frontier(pts)    # a depth-1 root list is not filtered by a merge
-    batch = max(1, _BATCH_ELEMENTS // inc.num_candidates)
     return pts[1, rec], pts[2, rec], lambda r: _walk(levels, rec[r:r + batch], depth_l)
 
 
 _NEG = -1e300
-_BATCH_ELEMENTS = 1 << 20   # entries per split scan in a batched reconstruction
+_BATCH_ELEMENTS = 1 << 20   # tree entries per batch of a frontier's reconstruction
 _MERGE_ELEMENTS = 1 << 16   # sums per block of a max-plus merge
 
 
-def _maxplus(U: np.ndarray, V: np.ndarray, width: int | None = None) -> np.ndarray:
+def _maxplus(U: np.ndarray, V: np.ndarray, width: int | None = None, split: bool = False):
     """Row-wise max-plus convolution out[n, k] = max_i U[n, i] + V[n, k - i],
-    for every k below width (default: every k).
+    for every k below width (default: every k); with split, (out, first),
+    where first[n, k] is the smallest i at which that maximum is attained.
 
     The i are taken in blocks of B.  A block's (B, q) sums, padded with _NEG
     to q + B columns and read back as B rows of q + B - 1, hold sum (i, j) in
-    column i - i0 + j, so one max over the rows merges the block.
+    column i - i0 + j, so one max over the rows merges the block.  The
+    first maximizer lies in the last block that beat the entry on a strict
+    >, so the split notes that block's i0 and then finds the first i of it
+    whose sum, the same float addition, equals the maximum; with one block,
+    the first maximizer of its sums.
     """
     rows, p = U.shape
     q = V.shape[1]
     width = p + q - 1 if width is None else min(width, p + q - 1)
     out = np.full((rows, width), _NEG)
+    noted = np.zeros((rows, width), dtype=np.intp) if split else None
     block = max(1, _MERGE_ELEMENTS // (rows * q))
     for i0 in range(0, min(p, width), block):
         b = min(block, p - i0)
@@ -464,9 +473,20 @@ def _maxplus(U: np.ndarray, V: np.ndarray, width: int | None = None) -> np.ndarr
         np.add(U[:, i0:i0 + b, None], V[:, None, :], out=sums[:, :, :q])
         skew = sums.reshape(rows, -1)[:, :b * (q + b - 1)].reshape(rows, b, q + b - 1)
         span = min(q + b - 1, width - i0)
-        np.maximum(out[:, i0:i0 + span], skew[:, :, :span].max(axis=1),
-                   out=out[:, i0:i0 + span])
-    return out
+        best = skew[:, :, :span].max(axis=1)
+        if split:
+            np.copyto(noted[:, i0:i0 + span], i0, where=best > out[:, i0:i0 + span])
+        np.maximum(out[:, i0:i0 + span], best, out=out[:, i0:i0 + span])
+    if not split:
+        return out
+    if block >= p:      # one block: the first maximizers of its sums
+        return out, skew[:, :, :width].argmax(axis=1)
+    i = noted[:, :, None] + np.arange(min(block, p))
+    j = np.arange(width)[:, None] - i
+    n = np.arange(rows)[:, None, None]
+    sums = np.where((i < p) & (j >= 0) & (j < q),
+                    U[n, np.minimum(i, p - 1)] + V[n, np.clip(j, 0, q - 1)], -np.inf)
+    return out, noted + (sums == out[:, :, None]).argmax(axis=2)
 
 
 class _LatticeDP:
@@ -482,7 +502,8 @@ class _LatticeDP:
     of row pairs 2r and 2r+1 of the one below it; a node level then holds 0,
     the empty tree, at class 0, _NEG below kd, and the node's relevance plus
     the merge from kd on.  Any entry traces back to a selection by splitting
-    it where its two halves sum largest.
+    it at the smallest class of its first half where its two halves sum
+    largest.
 
     Tables are built on demand, up to the largest root class k_cap asked for
     so far.  A node whose ancestors cost A units in all takes no class above
@@ -492,7 +513,11 @@ class _LatticeDP:
     the same sums.
 
     The root table L[0] is built only when read; the Pareto trace reads it.
-    One-shot solves query the root's pair merges L[1] instead.  With pm the
+    That tabulation also keeps, per half-level h, the split table S[h] of
+    each merged entry (the columns of a node level start at kd), which a
+    reconstruction then gathers; without it, a reconstruction scans the two
+    halves of each entry it splits.  One-shot solves query the root's pair
+    merges L[1] instead, and keep no split table.  With pm the
     prefix maxima of L[1][1] and r the root's relevance, the root reaches a
     value v by class k0 + i + j (k0 the root's cost) exactly when
     r + (L[1][0][i'] + L[1][1][j']) >= v for some i' <= i, j' <= j, which is
@@ -512,17 +537,14 @@ class _LatticeDP:
         self.top = self.full_widths[0] - 1     # the class of the whole tree
         self.k_cap = -1                         # nothing tabulated yet
         self.rises = None                       # _rises of both L[1] rows, once read
-        # per row: its tree, and split scans of at most 4^d * width(L[2d+1])
-        # entries at depth d
-        per_row = max([num_candidates(depth_l)] + [
-            4 ** d * (2 * self.full_widths[d + 1] - 1) for d in range(depth_l - 1)])
-        self.batch_rows = max(1, _BATCH_ELEMENTS // per_row)
+        self.S = None                           # the split tables, once the root is read
 
-    def tabulate(self, k_cap: int) -> None:
+    def tabulate(self, k_cap: int, split: bool = False) -> None:
         """Build the tables that root classes up to k_cap read, unless the
-        tables already reach that far.  Classes below the root's own cost
+        tables already reach that far; with split, every table through the
+        root's, with its split table.  Classes below the root's own cost
         hold only the empty tree and read none."""
-        if k_cap <= self.k_cap or k_cap < self.root_cost:
+        if k_cap < self.root_cost or (k_cap <= self.k_cap and (self.S is not None or not split)):
             return
         depth_l = self.depth_l
         self.k_cap = k_cap
@@ -532,7 +554,8 @@ class _LatticeDP:
             self.widths.append(min(self.full_widths[d], k_cap - ancestors + 1))
             ancestors += 4 ** (depth_l - 1 - d)
         self.L: list[np.ndarray] = [None] * (2 * depth_l) + [np.zeros((4 ** depth_l, 1))]
-        for h in range(2 * depth_l - 1, 0, -1):
+        self.S = [None] * (2 * depth_l) if split else None
+        for h in range(2 * depth_l - 1, -1 if split else 0, -1):
             self._merge(h)
         self.rises = None
 
@@ -544,7 +567,10 @@ class _LatticeDP:
             self.L[h] = np.zeros((2 ** h, 1))
             return
         below = self.L[h + 1]
-        merge = _maxplus(below[0::2], below[1::2], width - kd)
+        merge = _maxplus(below[0::2], below[1::2], width - kd, self.S is not None)
+        if self.S is not None:
+            merge, first = merge
+            self.S[h] = first.astype(np.int32)     # half the gathers' memory traffic
         if h % 2:
             self.L[h] = merge
             return
@@ -555,10 +581,8 @@ class _LatticeDP:
 
     @property
     def root(self) -> np.ndarray:
-        """The full root table."""
-        self.tabulate(self.top)
-        if self.L[0] is None:
-            self._merge(0)
+        """The full root table, tabulated with the split tables."""
+        self.tabulate(self.top, split=True)
         return self.L[0][0]
 
     def best_value(self, k_cap: int) -> float:
@@ -596,37 +620,34 @@ class _LatticeDP:
 
     def reconstruct_many(self, k_targets) -> np.ndarray:
         """The tree of each tabulated root class in k_targets, as the rows of
-        one uint8 matrix.  Callers pass at most batch_rows classes, so that
-        the split scans hold no more than about _BATCH_ELEMENTS entries.
-
-        Per level, the active (row, node, class) triples are deduplicated
-        over (node, class), since rows often share subtrees.  Each distinct
-        node entry is split into its pair merges' classes, and each of those
-        into its two children's classes.
-        """
+        one uint8 matrix.  Half-level by half-level, every row's classes
+        split into the classes of the two rows below them, over all of the
+        half-level's rows at once: a node's class less its own cost splits
+        between its pair merges, a pair's between its two children, and a
+        node is selected where its class is positive.  The splits are
+        gathered from the split tables when the root's tabulation kept them,
+        else found by _first_split's scans, whose size grows with every
+        class split: callers without the tables pass a single class."""
         depth_l = self.depth_l
-        k_targets = np.asarray(k_targets, dtype=np.int64)
-        z = np.zeros((k_targets.size, num_candidates(depth_l)), dtype=np.uint8)
-        row = np.flatnonzero(k_targets)
-        m = np.zeros(row.size, dtype=np.int64)
-        k = k_targets[row]
-        for d in range(depth_l):
-            z[row, depth_offset(d) + m] = 1
-            if d == depth_l - 1 or not row.size:
+        k = np.asarray(k_targets, dtype=np.int64 if self.S is None else np.int32)[:, None]
+        z = np.zeros((k.shape[0], num_candidates(depth_l)), dtype=np.uint8)
+        for h in range(2 * depth_l - 1):
+            if h % 2 == 0:
+                d = h // 2
+                z[:, depth_offset(d):depth_offset(d + 1)] = k > 0
+                k = np.maximum(k - 4 ** (depth_l - 1 - d), 0)
+            if h == 2 * depth_l - 2 or not k.any():
                 break
-            width = self.widths[d]
-            keys, inverse = np.unique(m * width + k, return_inverse=True)
-            um, uk = np.divmod(keys, width)
-            j = uk - 4 ** (depth_l - 1 - d)
-            j12 = _first_split(self.L[2 * d + 1], um, j)
-            pairs = np.stack([2 * um, 2 * um + 1], axis=1).ravel()
-            jp = np.stack([j12, j - j12], axis=1).ravel()
-            first = _first_split(self.L[2 * d + 2], pairs, jp)
-            kids = np.stack([first, jp - first], axis=1).reshape(-1, 4)[inverse].ravel()
-            keep = kids > 0
-            row = np.repeat(row, 4)[keep]
-            m = (4 * m[:, None] + np.arange(4)).ravel()[keep]
-            k = kids[keep]
+            rows = np.arange(k.shape[1], dtype=k.dtype)
+            if self.S is None:
+                first = _first_split(self.L[h + 1], np.broadcast_to(rows, k.shape).ravel(),
+                                     k.ravel()).reshape(k.shape)
+            else:
+                first = self.S[h].take(rows * self.S[h].shape[1] + k)
+            below = np.empty(k.shape + (2,), dtype=k.dtype)
+            below[..., 0] = first
+            np.subtract(k, first, out=below[..., 1])
+            k = below.reshape(k.shape[0], -1)
         return z
 
 

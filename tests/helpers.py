@@ -1,6 +1,7 @@
 """Shared world builders and random generators for the test suite."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -58,6 +59,62 @@ def blob_world(rng, depth_l, zero_weight=False, zero_quadrant=False):
     if zero_quadrant:
         weights[:side // 2, :side // 2] = 0.0
     return iq.world_from_grid(np.rint(255 * np.clip(field, 0.0, 1.0)) / 255, weights)
+
+
+MASS_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class NodeStats:
+    """Mass p(t) and relevance p(y|t) of one node; relevance is None at zero mass."""
+
+    mass: float
+    relevance: np.ndarray | None
+
+
+def node_stats(stats, node_id):
+    """The NodeStats of one node of compute_node_stats' TreeStats."""
+    mass = float(stats.masses[node_id.depth][node_id.morton])
+    if mass <= 0:
+        return NodeStats(mass, None)
+    return NodeStats(mass, stats.joints[node_id.depth][node_id.morton] / mass)
+
+
+def child_stats(stats, node_id):
+    return [node_stats(stats, c) for c in node_id.children()]
+
+
+def _check_mass(parent, children):
+    child_mass = np.array([c.mass for c in children], dtype=np.float64)
+    if abs(child_mass.sum() - parent.mass) > MASS_TOL:
+        raise ValueError(
+            f"mass mismatch: children sum to {child_mass.sum()!r}, parent is {parent.mass!r}"
+        )
+    return child_mass
+
+
+def node_delta_x(parent, children):
+    """Rate gained by expanding the node: p(t) * H(Pi), zero at zero mass.
+    The per-node reference for compute_increments' delta_x."""
+    child_mass = _check_mass(parent, children)
+    if parent.mass <= 0:
+        return 0.0
+    pos = child_mass[child_mass > 0]
+    return float(-(pos * np.log(pos / parent.mass)).sum())
+
+
+def node_delta_y(parent, children):
+    """Relevant information gained by expanding the node: p(t) * JS_Pi(children).
+    The per-node reference for compute_increments' delta_y."""
+    child_mass = _check_mass(parent, children)
+    if parent.mass <= 0:
+        return 0.0
+    keep = child_mass > 0
+    if keep.sum() <= 1:
+        return 0.0
+    weights = child_mass[keep] / child_mass[keep].sum()
+    dists = np.vstack([c.relevance for c, k in zip(children, keep) if k])
+    return parent.mass * iq.js_divergence(weights, dists)
 
 
 def random_valid_selection(rng, depth_l, p_expand=0.6):

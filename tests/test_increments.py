@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import infoquad as iq
-from infoquad.increments import NodeStats, increment_rows
+from infoquad.increments import increment_rows
 from infoquad.quadtree import NodeId
-from helpers import blob_world, quadrant_world, random_world, random_valid_selection
+from helpers import (NodeStats, blob_world, child_stats, node_delta_x, node_delta_y, node_stats,
+                     quadrant_world, random_valid_selection, random_world)
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -14,23 +15,23 @@ LN16 = 2.772588722239781
 def test_node_stats_uniform_masses():
     world = random_world(np.random.default_rng(0), 1)
     stats = iq.compute_node_stats(world)
-    assert stats.node(NodeId(0, 0)).mass == pytest.approx(1.0, abs=1e-12)
-    assert [stats.node(NodeId(1, m)).mass for m in range(4)] == pytest.approx([0.25] * 4)
+    assert node_stats(stats, NodeId(0, 0)).mass == pytest.approx(1.0, abs=1e-12)
+    assert [node_stats(stats, NodeId(1, m)).mass for m in range(4)] == pytest.approx([0.25] * 4)
 
 
 def test_node_stats_mixture():
     world = iq.world_from_cells(1, np.column_stack([[0, 1, 0, 1], [1, 0, 1, 0]]))
-    root = iq.compute_node_stats(world).node(NodeId(0, 0))
+    root = node_stats(iq.compute_node_stats(world), NodeId(0, 0))
     assert root.relevance.tolist() == pytest.approx([0.5, 0.5])
 
 
 def test_node_stats_two_level_mixture():
     world = quadrant_world()
     stats = iq.compute_node_stats(world)
-    quad0 = stats.node(NodeId(1, 0))
+    quad0 = node_stats(stats, NodeId(1, 0))
     assert quad0.mass == pytest.approx(0.25, abs=1e-12)
     assert quad0.relevance[1] == pytest.approx(0.5, abs=1e-12)
-    root = stats.node(NodeId(0, 0))
+    root = node_stats(stats, NodeId(0, 0))
     assert root.mass == pytest.approx(1.0, abs=1e-12)
     assert root.relevance[1] == pytest.approx(0.125, abs=1e-12)
 
@@ -40,19 +41,19 @@ def test_node_stats_zero_mass_placeholder():
     world = random_world(np.random.default_rng(1), 2)
     world = iq.world_from_cells(2, world.cell_relevance, prior)
     stats = iq.compute_node_stats(world)
-    assert stats.node(NodeId(1, 1)).relevance is None
-    assert stats.node(NodeId(1, 1)).mass == 0.0
+    assert node_stats(stats, NodeId(1, 1)).relevance is None
+    assert node_stats(stats, NodeId(1, 1)).mass == 0.0
 
 
 def test_node_delta_x_cases():
     children = [NodeStats(0.25, np.array([0.5, 0.5])) for _ in range(4)]
-    assert iq.node_delta_x(NodeStats(1.0, np.array([0.5, 0.5])), children) == pytest.approx(
+    assert node_delta_x(NodeStats(1.0, np.array([0.5, 0.5])), children) == pytest.approx(
         LN4, abs=1e-12
     )
     zero = [NodeStats(0.0, None) for _ in range(4)]
-    assert iq.node_delta_x(NodeStats(0.0, None), zero) == 0.0
+    assert node_delta_x(NodeStats(0.0, None), zero) == 0.0
     small = [NodeStats(0.0625, np.array([1.0, 0.0])) for _ in range(4)]
-    assert iq.node_delta_x(NodeStats(0.25, np.array([1.0, 0.0])), small) == pytest.approx(
+    assert node_delta_x(NodeStats(0.25, np.array([1.0, 0.0])), small) == pytest.approx(
         0.25 * LN4, abs=1e-12
     )
 
@@ -60,22 +61,22 @@ def test_node_delta_x_cases():
 def test_node_delta_x_mass_mismatch():
     children = [NodeStats(0.3, np.array([1.0, 0.0])) for _ in range(4)]
     with pytest.raises(ValueError, match="mass mismatch"):
-        iq.node_delta_x(NodeStats(1.0, np.array([1.0, 0.0])), children)
+        node_delta_x(NodeStats(1.0, np.array([1.0, 0.0])), children)
 
 
 def test_node_delta_y_cases():
     same = [NodeStats(0.25, np.array([0.3, 0.7])) for _ in range(4)]
-    assert iq.node_delta_y(NodeStats(1.0, np.array([0.3, 0.7])), same) == 0.0
+    assert node_delta_y(NodeStats(1.0, np.array([0.3, 0.7])), same) == 0.0
 
     split = [NodeStats(0.25, np.array([1.0, 0.0])), NodeStats(0.25, np.array([1.0, 0.0])),
              NodeStats(0.25, np.array([0.0, 1.0])), NodeStats(0.25, np.array([0.0, 1.0]))]
-    assert iq.node_delta_y(NodeStats(1.0, np.array([0.5, 0.5])), split) == pytest.approx(
+    assert node_delta_y(NodeStats(1.0, np.array([0.5, 0.5])), split) == pytest.approx(
         LN2, abs=1e-12
     )
 
     quarter = [NodeStats(0.0625, np.array([0.0, 1.0])), NodeStats(0.0625, np.array([1.0, 0.0])),
                NodeStats(0.0625, np.array([0.0, 1.0])), NodeStats(0.0625, np.array([1.0, 0.0]))]
-    assert iq.node_delta_y(NodeStats(0.25, np.array([0.5, 0.5])), quarter) == pytest.approx(
+    assert node_delta_y(NodeStats(0.25, np.array([0.5, 0.5])), quarter) == pytest.approx(
         0.25 * LN2, abs=1e-12
     )
 
@@ -111,12 +112,12 @@ def test_vectorized_increments_match_per_node_ops():
         inc = iq.compute_increments(world)
         stats = iq.compute_node_stats(world)
         for i, node in enumerate(iq.interior_candidates(depth_l)):
-            parent = stats.node(node)
-            children = stats.children(node)
+            parent = node_stats(stats, node)
+            children = child_stats(stats, node)
             assert inc.delta_x[i] == pytest.approx(
-                iq.node_delta_x(parent, children), abs=1e-12)
+                node_delta_x(parent, children), abs=1e-12)
             assert inc.delta_y[i] == pytest.approx(
-                iq.node_delta_y(parent, children), abs=1e-12)
+                node_delta_y(parent, children), abs=1e-12)
 
 
 def test_increment_invariants():
@@ -130,7 +131,7 @@ def test_increment_invariants():
         assert np.all(inc.delta_y <= inc.delta_x)
         stats = iq.compute_node_stats(world)
         for i, node in enumerate(iq.interior_candidates(depth_l)):
-            if stats.node(node).mass == 0.0:
+            if node_stats(stats, node).mass == 0.0:
                 assert inc.delta_x[i] == 0.0
 
 
@@ -211,6 +212,31 @@ def test_increment_rows_and_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "depth,morton,mass,delta_x_nats,delta_y_nats,free"
     assert len(lines) == 6
+
+
+def test_write_csv_formats_each_cell_as_its_type(tmp_path):
+    """Columns of floats (numpy's included), booleans, other cells, and
+    columns that mix them, each cell written as the per-cell rule says."""
+    from infoquad.increments import FLOAT_FMT, write_csv
+
+    rows = [[0.1, True, 3, "a,b", 1.0, np.float64(2.5)],
+            [1 / 3, False, 4, "c", 2, True],
+            [np.float64(1e-20), True, -5, "", False, "x"]]
+    path = tmp_path / "mixed.csv"
+    write_csv(path, ["f", "b", "i", "s", "mix", "any"], rows)
+
+    def cell(v):
+        if isinstance(v, float):
+            return format(v, FLOAT_FMT)
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return str(v)
+
+    lines = ["f,b,i,s,mix,any"] + [",".join(f'"{c}"' if "," in c else c for c in map(cell, row))
+                                   for row in rows]
+    assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+    write_csv(path, ["only"], [])
+    assert path.read_bytes() == b"only\r\n"
 
 
 @pytest.mark.parametrize("call,message", [

@@ -280,8 +280,9 @@ def pareto_inputs(tmp_path, weighted):
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["uniform16", "weighted8"])
 def test_cli_trace_builds_no_selection_per_point(tmp_path, monkeypatch, weighted):
-    """A CLI pareto builds no TreeSelection, and makes one unchecked
-    information sum per point, off the lattice and off the weighted lists."""
+    """A CLI pareto builds no TreeSelection, and takes its information sums
+    unchecked, once per reconstructed batch, off the lattice and off the
+    weighted lists; at these sizes one batch holds every point's tree."""
     args, _ = pareto_inputs(tmp_path, weighted)
     built, sums = [], []
     selection_class, information = pareto.TreeSelection, pareto._information
@@ -301,7 +302,7 @@ def test_cli_trace_builds_no_selection_per_point(tmp_path, monkeypatch, weighted
     rows = len(out.read_text().splitlines()) - 1
     assert rows > 20
     assert built == []
-    assert len(sums) == rows
+    assert len(sums) == 1 and len(sums[0][0]) >= rows
 
 
 @pytest.mark.parametrize("weighted, eps_step", [

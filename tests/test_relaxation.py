@@ -3,6 +3,7 @@ import pytest
 
 import infoquad as iq
 from infoquad.relaxation import FractionalSelection
+from infoquad.solver import _parametric_dual
 from helpers import (
     blob_world,
     quadrant_world,
@@ -122,6 +123,32 @@ def test_lp_value_is_the_lower_hull_of_the_exact_frontier(make_world, vertices):
         assert iq.solve_lp_relaxation(inc, d_hat)[1] == pytest.approx(rate, abs=1e-9)
     for d_hat, rate in points:
         assert iq.solve_lp_relaxation(inc, d_hat)[1] <= rate + 1e-9
+
+
+@pytest.mark.parametrize("kind", ["uniform", "blob", "iid"])
+@pytest.mark.parametrize("depth_l", [2, 3, 4, 5])
+def test_rounding_returns_a_dual_bracket(kind, depth_l):
+    """The LP point is lo + theta (hi - lo) for _parametric_dual's nested
+    brackets lo and hi, so thresholding at delta returns hi when theta >=
+    delta and lo otherwise: rounding only reaches vertices of the lower
+    convex hull of the frontier."""
+    rng = np.random.default_rng(110 + depth_l)
+    world = (blob_world(rng, depth_l) if kind == "blob"
+             else random_world(rng, depth_l, uniform_prior=kind == "uniform"))
+    inc = iq.compute_increments(world)
+    total = float(inc.delta_y.sum())
+    for frac in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+        d_hat = frac * total
+        _, _, lo, hi = _parametric_dual(inc.delta_x, inc.delta_y, d_hat, depth_l)
+        assert not (lo & ~hi).any()
+        z = iq.solve_lp_relaxation(inc, d_hat)[0].z
+        assert np.all(z[lo] == 1.0) and np.all(z[~hi] == 0.0)
+        thetas = np.unique(z[hi & ~lo])
+        assert thetas.size <= 1
+        for delta in (0.25, 0.5, 0.75):
+            result, _ = iq.relax_and_round(inc, d_hat, delta)
+            take_hi = thetas.size and thetas[0] >= delta
+            assert np.array_equal(result.selection.z, (hi if take_hi else lo).astype(np.uint8))
 
 
 def test_rounding_always_valid_property():

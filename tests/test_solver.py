@@ -320,6 +320,72 @@ def test_lattice_half_levels_are_pair_merges(depth_l):
             assert np.array_equal(L[h][:, kd:], b[:, None] + merge)
 
 
+@pytest.mark.parametrize("binary", [False, True], ids=["iid", "binary"])
+@pytest.mark.parametrize("depth_l", [1, 2, 3, 4, 5, 6])
+def test_recorded_splits_are_the_scanned_splits(depth_l, binary):
+    """The split tables kept by the root's tabulation hold, on every live
+    entry of every half-level, what the scan finds: the smallest class of
+    the first half at which the two halves sum largest.  Binary maps leave
+    many tied sums."""
+    world = random_world(np.random.default_rng(80 + depth_l), depth_l, binary=binary)
+    lattice = _lattice_for(iq.compute_increments(world))
+    lattice.root
+    for h in range(2 * depth_l):
+        kd = 0 if h % 2 else 4 ** (depth_l - 1 - h // 2)
+        merged = lattice.L[h][:, kd:]
+        assert lattice.S[h].shape == merged.shape
+        rows, k = np.nonzero(merged > solver._NEG)
+        assert rows.size
+        assert np.array_equal(lattice.S[h][rows, k],
+                              solver._first_split(lattice.L[h + 1], rows, k))
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["iid", "binary"])
+def test_trace_batches_are_the_scanned_trees(monkeypatch, binary):
+    """Every record's tree in the trace's gathered batches, at depth 5 and in
+    batches of 7 trees, is the tree that a lattice without split tables
+    scans for that class alone."""
+    monkeypatch.setattr(solver, "_BATCH_ELEMENTS", 7 * 341)
+    world = random_world(np.random.default_rng(90), 5, binary=binary)
+    inc = iq.compute_increments(world)
+    classes, _, reconstruct = solver._frontier_records(inc, solver.DEFAULT_NODE_LIMIT)
+    batches = [reconstruct(r) for r in range(0, classes.size, 7)]
+    assert {len(b) for b in batches[:-1]} == {7}
+    scan = _lattice_for(iq.compute_increments(world))
+    scan.tabulate(scan.top)
+    assert scan.S is None and _lattice_for(inc).S is not None
+    for k, tree in zip(classes, np.vstack(batches), strict=True):
+        assert np.array_equal(tree, scan.reconstruct_many([k])[0])
+
+
+def test_one_shot_solves_record_no_split(monkeypatch):
+    """Min-rate and max-relevance solves, up to the full floor and an
+    unbounded budget, tabulate with no split table; only the trace's root
+    tabulation records one, once per half-level, and later solves reuse it."""
+    recorded = []
+    maxplus = solver._maxplus
+
+    def counted(U, V, width=None, split=False):
+        recorded.append(split)
+        return maxplus(U, V, width, split)
+
+    monkeypatch.setattr(solver, "_maxplus", counted)
+    inc = iq.compute_increments(random_world(np.random.default_rng(95), 4))
+    total_x, total_y = float(inc.delta_x.sum()), float(inc.delta_y.sum())
+    for frac in (0.3, 0.9, 1.0):
+        iq.solve_max_relevance(inc, frac * total_x)
+        iq.solve_min_rate(inc, frac * total_y)
+    iq.solve_max_relevance(inc, float("inf"))
+    lattice = _lattice_for(inc)
+    assert lattice.k_cap == lattice.top and lattice.S is None
+    assert recorded and not any(recorded)
+    del recorded[:]
+    iq.trace_pareto(inc)
+    assert recorded == [True] * 8 and lattice.S is not None
+    iq.solve_min_rate(inc, 0.5 * total_y)
+    assert recorded == [True] * 8
+
+
 @pytest.mark.parametrize("depth_l", [1, 2, 3, 4])
 def test_lattice_root_queries_read_the_root_table(depth_l):
     rng = np.random.default_rng(60 + depth_l)
