@@ -53,11 +53,14 @@ max-relevance for the cheapest class within 1e-9 of the best one under the
 budget, and the tables it builds stop at the budget's class.  Only the Pareto
 trace reads the whole root table.  Rate classes are at least ln(4)/4^(l-1)
 nats apart (3.4e-4 at depth 7), so the 1e-9 feasibility tolerance never
-straddles two classes.  The reconstruction splits each merged class at the
-smallest index where its two halves sum largest, the sum the merge stored;
-among tied trees that need not give the lexicographically smallest one.  The
-trace's tabulation records those indices as it merges, and rebuilds its
-batches of trees by gathers; a one-shot solve scans for its one tree's.
+straddles two classes.  A merged class splits at the smallest index where
+its two halves sum largest, the sum the merge stored; among tied trees that
+need not give the lexicographically smallest one.  One scan, _first_max,
+finds it: the trace's tabulation as it merges, keeping the indices for its
+batches to gather, and a one-shot solve for its one tree.  Both engines read
+their trees back by one top-down walk, _walk, which splits each row's point
+(a class, or a list point and the two points it sums) into points of the
+two rows below it and marks the nodes each node level selects.
 """
 
 from __future__ import annotations
@@ -298,26 +301,26 @@ def _solve_covering(c, g, need, node_limit, depth_l):
     off = _offsets(depth_l)
     n, cap = c.size, worst + TOL
     lam = lam_star * np.array(_MULTIPLIERS)
-    # per unit (the candidates, then the finest cells): minus the most its
-    # subtree adds to g, the least it adds to c, and per lam the least it adds
-    # to c - lam g; the first two rows are subtree sums, as they hold no
-    # positive weight
+    # per unit (the candidates, then the finest cells) and row: minus the most
+    # its subtree adds to g, the least it adds to c, and per lam the least it
+    # adds to c - lam g
     best = _closure_best(np.vstack((-np.maximum(g, 0.0), np.minimum(c, 0.0), c - lam[:, None] * g)),
                          depth_l)
     inside = np.zeros((best.shape[0], 4 * n + 1))
     inside[:, :n] = np.minimum(best, 0.0)
-    hold = best[2:]     # hold[:, t]: the least c - lam g of a tree holding t
+    hold = best     # hold[:, t]: the least a tree holding t adds to each row
     for d in range(1, depth_l):
         hold[:, off[d]:off[d + 1]] += (np.repeat(hold[:, off[d - 1]:off[d]], 4, axis=1)
-                                       - inside[2:, off[d]:off[d + 1]])
+                                       - inside[:, off[d]:off[d + 1]])
     # per row, bounds on its points' (-g, c, c - lam g): node rows at unit - 1,
-    # then pair rows at 4n + (first unit - 1) / 2
+    # then pair rows at 4n + (first unit - 1) / 2.  The first two rows hold no
+    # positive weight, so their best tree holding a row is the whole tree.
     units = inside[:, 1:]
     ins = np.hstack((units, units.reshape(units.shape[0], -1, 2).sum(axis=2)))
     held = np.repeat(hold, 4, axis=1)       # unit t's parent's hold at t - 1
     held = np.hstack((held, held[:, ::2]))
-    bounds = np.vstack(((ins[0] - inside[0, 0]) - need, cap - (inside[1, 0] - ins[1]),
-                        (cap - lam * need)[:, None] - (held - ins[2:])))
+    caps = np.array([-need, cap, *(cap - lam * need)])
+    bounds = caps[:, None] - (held - ins)
     coef_c, coef_g = np.array([[0.0, 1.0, *np.ones(lam.size)], [1.0, 0.0, *lam]])[:, :, None]
 
     def keep(h, r, val, empty):
@@ -334,19 +337,21 @@ def _solve_covering(c, g, need, node_limit, depth_l):
     if pick is None:
         return seed_z, work
     # the root's own level holds the one picked point: the root plus the pair
-    root = np.array([[0], [pick[0]], [s + pick[1]]] if pick else [[0], [-1], [-1]])
-    return _walk(levels + [root], np.zeros(1, dtype=np.intp), depth_l)[0], work
+    levels.insert(0, np.array([[pick[0], s + pick[1]] if pick else [-1, -1], [-1, -1]]))
+    return _walk(depth_l, np.zeros(1, dtype=np.intp), lambda h, at: levels[h][at, 0] >= 0,
+                 lambda h, at: levels[h][at])[0], work
 
 
 def _merge_lists(c, g, depth_l, node_limit, keep=None):
     """(pts, levels, work) of the Pareto lists merged up the half-level
     layout: each row's points (c, g), c ascending and g strictly rising but
-    in the deepest rows, each with the two points below it sums (-1 for the
-    empty point).  With keep(h, r, val, empty), the mask of half-level h's
-    points a solve keeps, the merges stop at the root's pair level, else at
-    its node level.  pts holds the top level's (row, c, g, summed points),
-    levels each level's (row, summed points), deepest first; work counts the
-    points made, checked against node_limit before each block."""
+    in the deepest rows, each with the two points below it sums (-1, -1 for
+    the empty point).  With keep(h, r, val, empty), the mask of half-level
+    h's points a solve keeps, the merges stop at the root's pair level, else
+    at its node level.  pts holds the top level's (row, c, g, summed points),
+    levels, top first, each level's summed points as intp rows, then a row
+    (-1, -1) that point -1 reads; work counts the points made, checked
+    against node_limit before each block."""
     off = _offsets(depth_l)
     own = np.stack((c, g))
     # the deepest candidates' rows, unpruned: the empty point, then the node
@@ -354,9 +359,9 @@ def _merge_lists(c, g, depth_l, node_limit, keep=None):
     pts = np.zeros((5, 2 * m))      # rows: row, c, g, and the two summed points
     pts[0] = np.arange(2 * m) // 2
     pts[1:3, 1::2] = own[:, off[-2]:]
-    pts[3, ::2] = -1
+    pts[3:5, ::2] = -1
     start = np.arange(0, 2 * m + 1, 2)
-    levels, work = [pts[[0, 3, 4]].astype(np.intp)], 0
+    levels, work = [np.vstack((pts[3:5].T, [[-1, -1]])).astype(np.intp)], 0
     for h in range(2 * depth_l - 3, -1 if keep is None else 0, -1):
         # a row covers one depth-d node (node levels) or two siblings
         d, node = (h + 1) // 2, 1 - h % 2
@@ -387,7 +392,7 @@ def _merge_lists(c, g, depth_l, node_limit, keep=None):
             if node:
                 val += own_l[:, r]
                 val[:, empty] = 0.0
-                new[3, empty] = -1
+                new[3:5, empty] = -1
             if keep is not None:
                 new = new[:, keep(h, r, val, empty)]
             new = np.concatenate((carry, new), axis=1)
@@ -399,24 +404,25 @@ def _merge_lists(c, g, depth_l, node_limit, keep=None):
             carry = new[:, cut:]
         pts = np.concatenate(parts + [carry], axis=1)
         start = np.searchsorted(pts[0], np.arange(2 ** h + 1))
-        levels.append(pts[[0, 3, 4]].astype(np.intp))
-    return pts, levels, work
+        levels.append(np.vstack((pts[3:5].T, [[-1, -1]])).astype(np.intp))
+    return pts, levels[::-1], work
 
 
-def _walk(levels, at, depth_l) -> np.ndarray:
-    """The trees of the points at of the root's node level (the last of
-    levels) as uint8 rows.  Each point sums two points of the level below; a
-    node point other than the empty one selects its node, and a pair point
-    is never empty."""
+def _walk(depth_l, at, held, split) -> np.ndarray:
+    """The trees of the root's points at as uint8 rows, read from the root
+    down: per half-level h, split(h, at) gives the points of rows 2r and
+    2r + 1 below that row r's points split into, along a last axis of two,
+    and on node levels held(h, at) marks the nodes they select."""
     off = _offsets(depth_l)
     z = np.zeros((at.size, num_candidates(depth_l)), dtype=np.uint8)
-    tree = np.arange(at.size)
-    for h, (row, wi, wj) in enumerate(reversed(levels)):
+    at = at.reshape(-1, 1)
+    for h in range(2 * depth_l - 1):
         if h % 2 == 0:
-            held = wi[at] >= 0
-            at, tree = at[held], tree[held]
-            z[tree, off[h // 2] + row[at]] = 1
-        at, tree = np.concatenate((wi[at], wj[at])), np.concatenate((tree, tree))
+            mark = held(h, at)
+            z[:, off[h // 2]:off[h // 2 + 1]] = mark
+            if h == 2 * depth_l - 2 or not mark.any():
+                break
+        at = split(h, at).reshape(at.shape[0], -1)
     return z
 
 
@@ -439,7 +445,8 @@ def _frontier_records(inc: IncrementVectors, node_limit: int):
         return np.zeros(1), np.zeros(1), lambda r: np.zeros((1, 0), dtype=np.uint8)
     pts, levels, _ = _merge_lists(inc.delta_x, inc.delta_y, depth_l, node_limit)
     rec = _frontier(pts)    # a depth-1 root list is not filtered by a merge
-    return pts[1, rec], pts[2, rec], lambda r: _walk(levels, rec[r:r + batch], depth_l)
+    return pts[1, rec], pts[2, rec], lambda r: _walk(
+        depth_l, rec[r:r + batch], lambda h, at: levels[h][at, 0] >= 0, lambda h, at: levels[h][at])
 
 
 _NEG = -1e300
@@ -456,9 +463,8 @@ def _maxplus(U: np.ndarray, V: np.ndarray, width: int | None = None, split: bool
     to q + B columns and read back as B rows of q + B - 1, hold sum (i, j) in
     column i - i0 + j, so one max over the rows merges the block.  The
     first maximizer lies in the last block that beat the entry on a strict
-    >, so the split notes that block's i0 and then finds the first i of it
-    whose sum, the same float addition, equals the maximum; with one block,
-    the first maximizer of its sums.
+    >, so the split notes that block's i0 and then scans that block alone
+    with _first_max; with one block, the first maximizer of its sums.
     """
     rows, p = U.shape
     q = V.shape[1]
@@ -481,12 +487,29 @@ def _maxplus(U: np.ndarray, V: np.ndarray, width: int | None = None, split: bool
         return out
     if block >= p:      # one block: the first maximizers of its sums
         return out, skew[:, :, :width].argmax(axis=1)
-    i = noted[:, :, None] + np.arange(min(block, p))
-    j = np.arange(width)[:, None] - i
-    n = np.arange(rows)[:, None, None]
-    sums = np.where((i < p) & (j >= 0) & (j < q),
-                    U[n, np.minimum(i, p - 1)] + V[n, np.clip(j, 0, q - 1)], -np.inf)
-    return out, noted + (sums == out[:, :, None]).argmax(axis=2)
+    n, k = np.divmod(np.arange(rows * width), width)
+    noted = noted.ravel()
+    return out, _first_max(U, V, n, k, noted, noted + (block - 1)).reshape(rows, width)
+
+
+def _first_max(U, V, n, k, lo=0, hi=None) -> np.ndarray:
+    """Per entry e, the smallest i of lo[e]..hi[e] (default: every i) that
+    indexes both rows and maximizes U[n[e], i] + V[n[e], k[e] - i], the float
+    additions of _maxplus; an empty window reads i = max(lo, k - (q - 1))."""
+    p, q = U.shape[1], V.shape[1]
+    lo = np.maximum(lo, k - (q - 1))
+    hi = np.minimum(k, p - 1 if hi is None else np.minimum(hi, p - 1))
+    count = np.maximum(hi - lo + 1, 1)
+    start = np.cumsum(count) - count
+    step = np.arange(int(count.sum()))
+    left_pos = np.repeat(n * p + lo - start, count)
+    left_pos += step
+    right_pos = np.repeat(n * q + k - lo + start, count)
+    right_pos -= step
+    sums = U.take(left_pos)
+    sums += V.take(right_pos)
+    hit = np.flatnonzero(sums == np.repeat(np.maximum.reduceat(sums, start), count))
+    return hit[np.searchsorted(hit, start)] - start + lo
 
 
 class _LatticeDP:
@@ -620,35 +643,28 @@ class _LatticeDP:
 
     def reconstruct_many(self, k_targets) -> np.ndarray:
         """The tree of each tabulated root class in k_targets, as the rows of
-        one uint8 matrix.  Half-level by half-level, every row's classes
-        split into the classes of the two rows below them, over all of the
-        half-level's rows at once: a node's class less its own cost splits
-        between its pair merges, a pair's between its two children, and a
-        node is selected where its class is positive.  The splits are
-        gathered from the split tables when the root's tabulation kept them,
-        else found by _first_split's scans, whose size grows with every
-        class split: callers without the tables pass a single class."""
+        one uint8 matrix, by _walk over all of a half-level's rows at once: a
+        node is selected where its class is positive, its class less its own
+        cost splits between its pair merges, and a pair's class between its
+        two children.  The splits are gathered from the split tables when
+        the root's tabulation kept them, else found by _first_max's scans,
+        whose size grows with every class split: callers without the tables
+        pass a single class."""
         depth_l = self.depth_l
-        k = np.asarray(k_targets, dtype=np.int64 if self.S is None else np.int32)[:, None]
-        z = np.zeros((k.shape[0], num_candidates(depth_l)), dtype=np.uint8)
-        for h in range(2 * depth_l - 1):
+
+        def split(h, k):
             if h % 2 == 0:
-                d = h // 2
-                z[:, depth_offset(d):depth_offset(d + 1)] = k > 0
-                k = np.maximum(k - 4 ** (depth_l - 1 - d), 0)
-            if h == 2 * depth_l - 2 or not k.any():
-                break
-            rows = np.arange(k.shape[1], dtype=k.dtype)
+                k = np.maximum(k - 4 ** (depth_l - 1 - h // 2), 0)
+            rows = np.arange(k.shape[1], dtype=np.int32)
             if self.S is None:
-                first = _first_split(self.L[h + 1], np.broadcast_to(rows, k.shape).ravel(),
-                                     k.ravel()).reshape(k.shape)
+                below = self.L[h + 1]
+                first = _first_max(below[0::2], below[1::2], np.broadcast_to(rows, k.shape).ravel(),
+                                   k.ravel()).reshape(k.shape)
             else:
                 first = self.S[h].take(rows * self.S[h].shape[1] + k)
-            below = np.empty(k.shape + (2,), dtype=k.dtype)
-            below[..., 0] = first
-            np.subtract(k, first, out=below[..., 1])
-            k = below.reshape(k.shape[0], -1)
-        return z
+            return np.stack((first, k - first), axis=-1)
+
+        return _walk(depth_l, np.asarray(k_targets, dtype=np.int32), lambda h, k: k > 0, split)
 
 
 def _first_partner(base, u, w, value) -> np.ndarray:
@@ -672,28 +688,6 @@ def _rises(v: np.ndarray):
     """The positions where the prefix maxima of v rise, and v there."""
     at = np.flatnonzero(np.diff(np.maximum.accumulate(v), prepend=-np.inf))
     return at, v[at]
-
-
-def _first_split(table, rows, k) -> np.ndarray:
-    """Per entry i, the smallest j at which
-    table[2 rows[i], j] + table[2 rows[i] + 1, k[i] - j] is largest.
-
-    That largest sum is the entry _maxplus merged from the two rows: both
-    make the same float additions, and max is exact.
-    """
-    p = table.shape[1]
-    lo = np.maximum(k - (p - 1), 0)
-    count = np.minimum(k, p - 1) - lo + 1
-    start = np.cumsum(count) - count
-    step = np.arange(int(count.sum()))
-    left_pos = np.repeat(2 * rows * p + lo - start, count)
-    left_pos += step
-    right_pos = np.repeat((2 * rows + 1) * p + k - lo + start, count)
-    right_pos -= step
-    sums = table.take(left_pos)
-    sums += table.take(right_pos)
-    hit = np.flatnonzero(sums == np.repeat(np.maximum.reduceat(sums, start), count))
-    return hit[np.searchsorted(hit, start)] - start + lo
 
 
 # the rate-class lattice (or None) of each increments object, held only while

@@ -147,6 +147,19 @@ def random_monotone_fractional(rng, depth_l):
     return z
 
 
+def _precedence(n):
+    """The rows z_child - z_parent of every parent/child candidate pair."""
+    sp = pytest.importorskip("scipy.sparse")
+    children = np.arange(1, n)
+    parents = (children - 1) // 4
+    rows = np.arange(children.size)
+    return sp.csr_matrix(
+        (np.concatenate([np.ones(rows.size), -np.ones(rows.size)]),
+         (np.concatenate([rows, rows]), np.concatenate([children, parents]))),
+        shape=(rows.size, n),
+    )
+
+
 def _reference_lp(inc, cost, row, rhs, lower):
     """min cost.z s.t. row.z <= rhs, z_child - z_parent <= 0 for every
     parent/child candidate pair and lower <= z <= 1, by HiGHS dual simplex;
@@ -154,14 +167,7 @@ def _reference_lp(inc, cost, row, rhs, lower):
     sp = pytest.importorskip("scipy.sparse")
     linprog = pytest.importorskip("scipy.optimize").linprog
     n = inc.num_candidates
-    children = np.arange(1, n)
-    parents = (children - 1) // 4
-    rows = np.arange(children.size)
-    prec = sp.csr_matrix(
-        (np.concatenate([np.ones(rows.size), -np.ones(rows.size)]),
-         (np.concatenate([rows, rows]), np.concatenate([children, parents]))),
-        shape=(rows.size, n),
-    )
+    prec = _precedence(n)
     a_ub = sp.vstack([sp.csr_matrix(row[None, :]), prec], format="csr")
     b_ub = np.zeros(a_ub.shape[0])
     b_ub[0] = rhs
@@ -169,6 +175,26 @@ def _reference_lp(inc, cost, row, rhs, lower):
                   bounds=np.column_stack([lower, np.ones(n)]), method="highs-ds")
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def reference_ilp(c, g, need):
+    """min c.z s.t. g.z >= need, z_child <= z_parent for every parent/child
+    candidate pair and z binary: the paper's integer program, by HiGHS branch
+    and cut with no gap allowed.  Returns its tree rounded to 0/1 and
+    mip_dual_bound, HiGHS's proven lower bound on c.z; HiGHS holds its rows
+    only to about 1e-7.  Skips the calling test when scipy is missing."""
+    sp = pytest.importorskip("scipy.sparse")
+    optimize = pytest.importorskip("scipy.optimize")
+    n = c.size
+    prec = _precedence(n)
+    rows = sp.vstack([sp.csr_matrix(g[None, :]), prec], format="csr")
+    lower = np.concatenate([[need], np.full(prec.shape[0], -np.inf)])
+    upper = np.concatenate([[np.inf], np.zeros(prec.shape[0])])
+    res = optimize.milp(c, integrality=np.ones(n), bounds=optimize.Bounds(0.0, 1.0),
+                        constraints=optimize.LinearConstraint(rows, lower, upper),
+                        options={"mip_rel_gap": 0.0})
+    assert res.status == 0, res.message
+    return np.rint(res.x).astype(np.uint8), float(res.mip_dual_bound)
 
 
 def reference_lp_objective(inc, d_hat):
@@ -315,6 +341,18 @@ def reference_seed_pack(b, a, cap):
 def write_text(path, text):
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def reference_first_split(table, rows, k):
+    """Per entry e, np.argmax over every j of
+    table[2 rows[e], j] + table[2 rows[e] + 1, k[e] - j], one entry at a time.
+    The reference for the split tables and the first-maximizer scan."""
+    p = table.shape[1]
+    out = []
+    for r, kk in zip(rows.tolist(), k.tolist()):
+        j = np.arange(max(0, kk - (p - 1)), min(kk, p - 1) + 1)
+        out.append(j[np.argmax(table[2 * r, j] + table[2 * r + 1, kk - j])])
+    return np.array(out, dtype=np.intp)
 
 
 def reference_reconstruct(lattice, k_target):

@@ -10,9 +10,10 @@ import infoquad as iq
 from infoquad import solver
 from infoquad.quadtree import depth_offset
 from infoquad.solver import TOL, _lattice_for, _parametric_dual, _seed
-from helpers import (blob_world, quadrant_world, random_world, reference_list_objective,
-                     reference_pack_lp_objective, reference_pareto_values, reference_reconstruct,
-                     reference_seed_cover, reference_seed_pack)
+from helpers import (blob_world, quadrant_world, random_world, reference_first_split,
+                     reference_ilp, reference_list_objective, reference_pack_lp_objective,
+                     reference_pareto_values, reference_reconstruct, reference_seed_cover,
+                     reference_seed_pack)
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -324,9 +325,10 @@ def test_lattice_half_levels_are_pair_merges(depth_l):
 @pytest.mark.parametrize("depth_l", [1, 2, 3, 4, 5, 6])
 def test_recorded_splits_are_the_scanned_splits(depth_l, binary):
     """The split tables kept by the root's tabulation hold, on every live
-    entry of every half-level, what the scan finds: the smallest class of
-    the first half at which the two halves sum largest.  Binary maps leave
-    many tied sums."""
+    entry of every half-level, the smallest class of the first half at which
+    the two halves sum largest, as a direct argmax per entry finds it, and
+    so does the scan of a one-shot reconstruction.  Binary maps leave many
+    tied sums."""
     world = random_world(np.random.default_rng(80 + depth_l), depth_l, binary=binary)
     lattice = _lattice_for(iq.compute_increments(world))
     lattice.root
@@ -336,8 +338,10 @@ def test_recorded_splits_are_the_scanned_splits(depth_l, binary):
         assert lattice.S[h].shape == merged.shape
         rows, k = np.nonzero(merged > solver._NEG)
         assert rows.size
-        assert np.array_equal(lattice.S[h][rows, k],
-                              solver._first_split(lattice.L[h + 1], rows, k))
+        want = reference_first_split(lattice.L[h + 1], rows, k)
+        assert np.array_equal(lattice.S[h][rows, k], want)
+        below = lattice.L[h + 1]
+        assert np.array_equal(solver._first_max(below[0::2], below[1::2], rows, k), want)
 
 
 @pytest.mark.parametrize("binary", [False, True], ids=["iid", "binary"])
@@ -356,6 +360,36 @@ def test_trace_batches_are_the_scanned_trees(monkeypatch, binary):
     assert scan.S is None and _lattice_for(inc).S is not None
     for k, tree in zip(classes, np.vstack(batches), strict=True):
         assert np.array_equal(tree, scan.reconstruct_many([k])[0])
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["iid", "binary"])
+@pytest.mark.parametrize("depth_l", [3, 4, 5])
+def test_list_engine_matches_the_lattice(monkeypatch, depth_l, binary):
+    """On uniform-prior worlds the Pareto lists, forced by hiding the
+    lattice, trace the lattice's frontier: as many points, each within 1e-9
+    in both values, and on i.i.d. maps, where no two trees tie on both
+    values, the same trees.  At four floors the covering solve's tree has
+    the lattice solve's rate and relevance within 1e-9."""
+    rng = np.random.default_rng(120 + depth_l)
+    for _ in range(4):
+        inc = iq.compute_increments(random_world(rng, depth_l, binary=binary))
+        floors = [f * float(inc.delta_y.sum()) for f in (0.3, 0.6, 0.9, 1.0)]
+        want = iq.trace_pareto(inc)
+        solves = [iq.solve_min_rate(inc, d_hat) for d_hat in floors]
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_lattice_for", lambda inc: None)
+            got = iq.trace_pareto(inc)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.d_star == pytest.approx(w.d_star, abs=1e-9)
+            assert g.d_hat_star == pytest.approx(w.d_hat_star, abs=1e-9)
+            assert binary or g.tree_bits == w.tree_bits
+        for d_hat, lattice in zip(floors, solves):
+            z, _ = solver._solve_covering(inc.delta_x, inc.delta_y, d_hat - TOL,
+                                          solver.DEFAULT_NODE_LIMIT, depth_l)
+            i_x, i_y = iq.tree_information(iq.TreeSelection(z), inc)
+            assert i_x == pytest.approx(lattice.i_x, abs=1e-9)
+            assert i_y == pytest.approx(lattice.i_y, abs=1e-9)
 
 
 def test_one_shot_solves_record_no_split(monkeypatch):
@@ -657,6 +691,47 @@ def test_lists_match_an_unpruned_list_dp(kind):
             assert result.i_x <= budget + TOL
             assert result.objective == pytest.approx(
                 reference_list_objective(values, "max-relevance", budget), abs=1e-9)
+
+
+@pytest.mark.parametrize("kind, depth_l, problem, frac, seed", [
+    ("uniform", 4, "min-rate", 0.8, 2), ("uniform", 4, "max-relevance", 0.3, 1),
+    ("uniform", 5, "max-relevance", 0.6, 0), ("iid", 4, "min-rate", 0.8, 3),
+    ("iid", 4, "max-relevance", 0.3, 4), ("iid", 5, "max-relevance", 0.1, 5),
+    ("blob", 4, "min-rate", 0.95, 6), ("blob", 5, "min-rate", 0.5, 7),
+    ("blob", 5, "min-rate", 0.8, 8), ("blob", 5, "max-relevance", 0.3, 9),
+])
+def test_solvers_meet_the_ilp_oracle(kind, depth_l, problem, frac, seed):
+    """Past brute force's depth 3, each solve against the paper's integer
+    program as HiGHS solves it, on uniform-prior, weighted i.i.d. and
+    weighted blob worlds, in the covering form: when the ILP's tree meets the
+    row under exact re-evaluation, the solver's tree costs no more, and it
+    never costs less than the ILP's proven bound.  frac scales the total
+    relevance into a floor, or the total rate into a budget."""
+    rng = np.random.default_rng(110 + seed)
+    if kind == "blob":
+        world = blob_world(rng, depth_l)
+    else:
+        world = random_world(rng, depth_l, uniform_prior=kind == "uniform")
+    inc = iq.compute_increments(world)
+    assert (_lattice_for(inc) is not None) == (kind == "uniform")
+
+    def covering(x, y):     # (cost, cover) of rate x and relevance y
+        return (x, y) if problem == "min-rate" else (-y, -x)
+
+    a, b = inc.delta_x, inc.delta_y
+    if problem == "min-rate":
+        d_hat = frac * float(b.sum())
+        result, need = iq.solve_min_rate(inc, d_hat), d_hat - TOL
+    else:
+        budget = frac * float(a.sum())
+        result, need = iq.solve_max_relevance(inc, budget), -(budget + TOL)
+    z, dual_bound = reference_ilp(*covering(a, b), need)
+    ilp_cost, ilp_cover = covering(*iq.tree_information(iq.TreeSelection(z), inc))
+    cost, cover = covering(result.i_x, result.i_y)
+    assert result.status == "optimal" and cover >= need
+    if ilp_cover >= need:
+        assert cost <= ilp_cost + 1e-9
+    assert cost >= dual_bound - 1e-7
 
 
 def _iid_weighted_32x32():
