@@ -14,7 +14,6 @@ inf sets no rate limit.  `main` parses with the one parser built at import;
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -149,7 +148,7 @@ def cmd_validate(args) -> int:
     world = _load_world(args)
     try:
         selection, doc = read_tree_json(args.tree, depth_l=world.depth_l)
-    except (json.JSONDecodeError, UnicodeDecodeError, MalformedTreeDocument) as exc:
+    except MalformedTreeDocument as exc:
         print(f"error: malformed tree document: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -16,7 +16,7 @@ children of candidate i are candidates 4i+1 .. 4i+4 (when they exist).
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,7 +321,7 @@ def _is_int(value) -> bool:
 
 
 def _is_finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 def _is_node_list(value) -> bool:
@@ -338,14 +338,18 @@ def read_tree_json(path, depth_l: int) -> tuple[TreeSelection, dict]:
     """Load and validate a tree document for a map of depth depth_l; rejects
     invalid selections.
 
-    A document of the wrong shape raises MalformedTreeDocument, a subclass of
-    the ValueError raised for a well-formed one that is not a valid tree.
+    A document that does not decode or has the wrong shape raises
+    MalformedTreeDocument, a subclass of the ValueError raised for a
+    well-formed one that is not a valid tree.
     A document of another depth than depth_l raises ValueError before its
     selection, which grows as 4^depth, is allocated, so the document's own
     depth never sizes an allocation.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedTreeDocument(str(exc)) from exc
     if not isinstance(doc, dict):
         raise MalformedTreeDocument("tree document is not a JSON object")
     for key, well_formed in _TREE_FIELDS:

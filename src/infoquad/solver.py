@@ -231,10 +231,6 @@ def _seed(c, g, need) -> np.ndarray:
     return np.array(z, dtype=np.uint8)
 
 
-def _pack_bits(z) -> bytes:
-    return np.packbits(np.asarray(z, dtype=np.uint8)).tobytes()
-
-
 _BLOCK = 8192       # list points generated, pruned and filtered at a time
 # the Lagrangian prunes' multipliers, in units of the dual's optimal one
 _MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -743,7 +739,7 @@ def solve_min_rate(inc: IncrementVectors, d_hat: float,
     if d_hat > total_b + TOL:
         return _result_from_z(np.zeros(a.size, np.uint8), inc, "min-rate", 0, t0, "infeasible")
     need = d_hat - TOL
-    if need <= 0 or a.size == 0:
+    if need <= 0:
         return _result_from_z(np.zeros(a.size, np.uint8), inc, "min-rate", 0, t0)
     lattice = _lattice_for(inc)
     if lattice is not None:
@@ -835,8 +831,9 @@ def enumerate_valid_selections(depth_l: int):
 
 
 def brute_force_solve(inc: IncrementVectors, problem: str, bound: float) -> SolveResult:
-    """Exhaustive-scan oracle.  It breaks ties within 1e-9 as the solvers do
-    and takes the lexicographically smallest of the trees tied on both values.
+    """Exhaustive-scan oracle over the covering form min c.z s.t. g.z >= need
+    that the solvers run.  It breaks ties within 1e-9 as they do and takes
+    the lexicographically smallest of the trees tied on both values.
 
     problem is "min-rate" or "max-relevance"; bound is the matching d_hat or
     budget.
@@ -850,23 +847,16 @@ def brute_force_solve(inc: IncrementVectors, problem: str, bound: float) -> Solv
     iy = Z @ inc.delta_y
     if problem == "min-rate":
         _check_bound("d_hat", bound)
-        feasible = iy >= bound - TOL
-        if not feasible.any():
-            return _result_from_z(Z[0], inc, problem, 0, t0, "infeasible")
-        candidates = np.flatnonzero(feasible)
-        best_obj = ix[candidates].min()
-        candidates = candidates[ix[candidates] <= best_obj + TOL]
-        best_iy = iy[candidates].max()
-        candidates = candidates[iy[candidates] >= best_iy - TOL]
+        c, g, need = ix, iy, bound - TOL
     elif problem == "max-relevance":
         _check_bound("budget", bound)
-        feasible = ix <= bound + TOL
-        candidates = np.flatnonzero(feasible)
-        best_obj = iy[candidates].max()
-        candidates = candidates[iy[candidates] >= best_obj - TOL]
-        best_ix = ix[candidates].min()
-        candidates = candidates[ix[candidates] <= best_ix + TOL]
+        c, g, need = -iy, -ix, -(bound + TOL)
     else:
         raise ValueError(f"unknown problem kind: {problem!r}")
-    winner = min(candidates, key=lambda i: _pack_bits(Z[i]))
+    candidates = np.flatnonzero(g >= need)
+    if not candidates.size:
+        return _result_from_z(Z[0], inc, problem, 0, t0, "infeasible")
+    candidates = candidates[c[candidates] <= c[candidates].min() + TOL]
+    candidates = candidates[g[candidates] >= g[candidates].max() - TOL]
+    winner = min(candidates, key=lambda i: Z[i].tobytes())
     return _result_from_z(Z[winner], inc, problem, len(Z), t0)

@@ -135,6 +135,8 @@ def _read_pgm(path) -> tuple[np.ndarray, int]:
             pixels = np.array(list(map(int, tokens[:count])), dtype=np.int64)
         except ValueError:
             raise ValueError("truncated PGM raster") from None
+        except OverflowError:   # a pixel beyond int64 is out of range: clip it for the checks
+            pixels = np.array([min(max(int(t), -1), maxval + 1) for t in tokens[:count]])
     if np.any(pixels < 0):
         raise ValueError("negative pixel value")
     if np.any(pixels > maxval):

@@ -113,6 +113,13 @@ def test_abstract_bad_pgm_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: negative pixel value\n"
 
 
+def test_increments_pixel_beyond_int64_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge.pgm"
+    write_text(path, "P2\n2 2\n255\n0 99999999999999999999 3 4\n")
+    assert main(["increments", "--input", str(path), "--out", str(tmp_path / "inc.csv")]) == 2
+    assert capsys.readouterr().err == "error: pixel value exceeds maxval\n"
+
+
 @pytest.mark.parametrize("bounds", [
     ["--mode", "min-rate", "--dhat", "0.01", "--dhat-frac", "0.9"],
     ["--mode", "max-relevance", "--budget", "0.5", "--budget-frac", "5"],
@@ -404,6 +411,7 @@ def test_validate_exit_codes_of_hand_made_documents(quad_pgm, tmp_path, case):
 
 
 _TREE_FIELDS = b'"depth_l": 2, "leaf_count": 4, "i_x_nats": 0.0, "i_y_nats": 0.0'
+_INFO_PAIR = b'{"depth_l": 2, "selected": [], "leaf_count": 1, "i_x_nats": %b, "i_y_nats": %b}'
 
 
 @pytest.mark.parametrize("text", [
@@ -412,12 +420,22 @@ _TREE_FIELDS = b'"depth_l": 2, "leaf_count": 4, "i_x_nats": 0.0, "i_y_nats": 0.0
     b"5",
     b'{"selected": [[0, 0, 7]], ' + _TREE_FIELDS + b'}',
     b"\xff\xfe",
-], ids=["not-json", "selected-not-list", "not-object", "triple-node", "not-utf8"])
+    b"[" * 100_000,
+    _INFO_PAIR % (b"1" + b"0" * 400, b"0.0"),
+    _INFO_PAIR % (b"0.0", b"-1" + b"0" * 400),
+    _INFO_PAIR % (b"1" + b"0" * 5_000, b"0.0"),
+], ids=["not-json", "selected-not-list", "not-object", "triple-node", "not-utf8", "too-deep",
+        "beyond-float-x", "beyond-float-y", "digit-limit"])
 def test_validate_malformed_json_exits_two(quad_pgm, tmp_path, capsys, text):
+    """Whatever fails to decode or has the wrong shape (nesting past the
+    interpreter's recursion limit, an integer beyond float range or past
+    the integer digit limit) exits 2 with one line, not a traceback."""
     bad = tmp_path / "bad.json"
     bad.write_bytes(text)
     assert main(["validate", "--tree", str(bad), "--input", str(quad_pgm)]) == 2
-    assert "error: malformed tree document" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed tree document") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_documented_names_are_reachable_from_the_package():

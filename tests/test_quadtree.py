@@ -270,6 +270,8 @@ def test_tree_json_rejects_wrong_leaf_count(tmp_path):
      ' "i_y_nats": 0.0}', "i_x_nats"),
     ('{"depth_l": 1, "selected": [[true, 0]], "leaf_count": 4, "i_x_nats": 0.0,'
      ' "i_y_nats": 0.0}', "selected"),
+    pytest.param('{"depth_l": 1, "selected": [], "leaf_count": 1, "i_x_nats": 1' + "0" * 400
+                 + ', "i_y_nats": 0.0}', "i_x_nats", id="beyond-float"),
 ])
 def test_tree_json_rejects_malformed_shape(tmp_path, text, match):
     path = tmp_path / "bad.json"

@@ -149,6 +149,19 @@ def test_load_pgm_comment_hides_raster_tail(tmp_path):
         iq.load_pgm(path)
 
 
+@pytest.mark.parametrize("raster,message", [
+    ("0 99999999999999999999 3 4", "pixel value exceeds maxval"),
+    ("0 9223372036854775808 3 4", "pixel value exceeds maxval"),
+    ("0 -99999999999999999999 3 4", "negative pixel value"),
+    ("0 99999999999999999999 -1 4", "negative pixel value"),
+])
+def test_load_pgm_pixels_beyond_int64_are_out_of_range(tmp_path, raster, message):
+    path = tmp_path / "huge.pgm"
+    write_text(path, f"P2\n2 2\n255\n{raster}\n")
+    with pytest.raises(ValueError, match=message):
+        iq.load_pgm(path)
+
+
 def test_pgm_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     for maxval in (7, 255, 65535):
